@@ -18,6 +18,7 @@
 
 use crate::critpath::EdgeClass;
 use crate::exec::alu_latency;
+use crate::sched::input_classes;
 use cfgir::objects::ObjId;
 use cfgir::types::{BinOp, Type, UnOp};
 use pegasus::{FlatPorts, Graph, NodeId, NodeKind, VClass};
@@ -175,12 +176,9 @@ impl LoweredProgram {
         }
         let mut in_src = vec![u32::MAX; num_in];
         let mut in_src0 = vec![u32::MAX; num_in];
-        let mut in_class = vec![VClass::Data; num_in];
         for id in g.ids() {
-            let k = g.kind(id);
             for p in 0..g.num_inputs(id) as u16 {
                 let fp = flat.in_id(id, p) as usize;
-                in_class[fp] = k.input_class(p);
                 if let Some(i) = g.input(id, p) {
                     in_src[fp] = i.src.node.0;
                     if i.src.port == 0 {
@@ -189,6 +187,7 @@ impl LoweredProgram {
                 }
             }
         }
+        let in_class = input_classes(g, &flat);
         let mut out_class = vec![EdgeClass::Data as u8; num_out];
         for id in g.ids() {
             let k = g.kind(id);

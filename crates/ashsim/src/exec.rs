@@ -17,13 +17,16 @@ use crate::backend::{backend_for, BackendKind};
 use crate::critpath::{self, CritState, CritSummary, EdgeClass, NO_REC};
 use crate::memory::{Machine, MemStats, MemSystem};
 use crate::profile::{kind_label, NodeProfile, SimProfile, StallCause};
-use crate::sched::{Ev, EventQueue, MemRequest, PendingOut, PortFifos, TokenGenState, RECENT_CAP};
+use crate::sched::{
+    self, Ev, EventQueue, MemRequest, PendingOut, PortFifos, TokenGenState, RECENT_CAP,
+};
 use crate::trace::{Trace, TraceEvent};
 use crate::wavecap::{stall_code, Wave, WaveState};
 use cfgir::types::{BinOp, Type};
 use pegasus::{FlatPorts, Graph, NodeId, NodeKind, Src, VClass};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Simulation parameters.
 #[derive(Debug, Clone)]
@@ -375,7 +378,9 @@ pub fn diagnose(
                 // usually enough to see which producer went quiet.
                 if ex.waves_on {
                     let blocked: Vec<NodeId> = ex.blocked_nodes().iter().map(|b| b.node).collect();
-                    s.push_str(&ex.wave.wave().tail_report(ex.g, &ex.flat, &blocked, ex.now, 32));
+                    s.push_str(
+                        &ex.wave.to_wave().tail_report(ex.g, &ex.flat, &blocked, ex.now, 32),
+                    );
                 }
                 break Err((e, s));
             }
@@ -396,6 +401,9 @@ pub(crate) struct Executor<'a> {
     /// Sticky value of each flat input port's source, precomputed so the
     /// firing path never consults the graph's input tables.
     in_sticky: Vec<Option<i64>>,
+    /// Value class of each flat input port, for stall attribution (empty
+    /// unless profiling or waveform capture classifies stalls).
+    in_class: Vec<VClass>,
     /// Producer node of each flat input port (`u32::MAX` if unconnected) —
     /// the node to wake when a pop frees channel space.
     in_src: Vec<u32>,
@@ -487,13 +495,15 @@ pub(crate) struct ExecSnapshot {
     recent_next: usize,
     crit: CritState,
     wave: WaveState,
+    /// The capture as a [`Wave`], built on first request.
+    wave_view: OnceLock<Wave>,
 }
 
 impl ExecSnapshot {
     /// The waveform capture frozen in this checkpoint (complete history
     /// since cycle 0 — the capture travels with the snapshot).
     pub(crate) fn wave_ref(&self) -> &Wave {
-        self.wave.wave()
+        self.wave_view.get_or_init(|| self.wave.to_wave())
     }
 }
 
@@ -622,6 +632,11 @@ impl<'a> Executor<'a> {
             g,
             machine,
             config,
+            in_class: if config.profile || config.waves {
+                sched::input_classes(g, &flat)
+            } else {
+                Vec::new()
+            },
             fifos,
             in_sticky,
             in_src,
@@ -991,9 +1006,9 @@ impl<'a> Executor<'a> {
         self.now
     }
 
-    /// The live waveform capture (for replay breakpoint evaluation).
-    pub(crate) fn wave_ref(&self) -> &Wave {
-        self.wave.wave()
+    /// The live waveform recorder (for replay breakpoint evaluation).
+    pub(crate) fn wave_state(&self) -> &WaveState {
+        &self.wave
     }
 
     /// Clones every piece of run-time state into a restorable checkpoint.
@@ -1027,6 +1042,7 @@ impl<'a> Executor<'a> {
             recent_next: self.recent_next,
             crit: self.crit.clone(),
             wave: self.wave.clone(),
+            wave_view: OnceLock::new(),
         }
     }
 
@@ -1121,41 +1137,15 @@ impl<'a> Executor<'a> {
     }
 
     /// Classifies why `id` could not fire just now, or `None` if it is
-    /// simply idle. Attribution picks the first missing input port — an
-    /// approximation for variadic joins, exact for fixed-arity operators.
+    /// simply idle (see [`sched::classify_stall`]).
     fn classify_stall(&self, id: NodeId) -> Option<StallCause> {
-        if self.sticky[id.index()].is_some()
-            || (self.once_only[id.index()] && self.has_fired[id.index()])
-        {
-            return None;
-        }
-        let nin = self.g.num_inputs(id);
-        if nin == 0 {
-            return None;
-        }
-        let mut queued = false;
-        let mut missing = None;
-        for p in 0..nin as u16 {
-            if self.avail(id, p) {
-                queued |= !self.fifos.is_empty(self.flat.in_id(id, p) as usize);
-            } else if missing.is_none() {
-                missing = Some(p);
-            }
-        }
-        match missing {
-            Some(p) => {
-                if !queued {
-                    return None; // nothing has arrived: idle, not stalled
-                }
-                Some(match self.g.kind(id).input_class(p) {
-                    VClass::Data => StallCause::DataInput,
-                    VClass::Pred => StallCause::PredInput,
-                    VClass::Token => StallCause::TokenInput,
-                })
-            }
-            None if queued => Some(StallCause::OutputSpace),
-            None => None,
-        }
+        let (start, end) = self.flat.in_range(id);
+        sched::classify_stall(
+            start as usize..end as usize,
+            &self.fifos,
+            &self.in_sticky,
+            &self.in_class,
+        )
     }
 
     /// Profiling bookkeeping for a successful firing of `id`.
@@ -1173,14 +1163,21 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Profiling bookkeeping for a failed firing attempt: opens a stall
-    /// window (once) attributed to whatever is holding the node up.
+    /// Bookkeeping for a failed firing attempt, sharing one stall
+    /// classification: profiling opens a stall window (once) attributed to
+    /// whatever is holding the node up, and waveform capture records the
+    /// stall class.
     fn note_stall(&mut self, id: NodeId) {
-        if self.stall_since[id.index()].is_some() {
+        let open = self.prof.is_some() && self.stall_since[id.index()].is_none();
+        if !open && !self.waves_on {
             return;
         }
-        if let Some(cause) = self.classify_stall(id) {
-            self.stall_since[id.index()] = Some((self.now, cause));
+        let cause = self.classify_stall(id);
+        if open {
+            self.stall_since[id.index()] = cause.map(|c| (self.now, c));
+        }
+        if self.waves_on {
+            self.wave.record_stall(id.index(), self.now, stall_code(cause));
         }
     }
 
@@ -1189,12 +1186,8 @@ impl<'a> Executor<'a> {
         // multiple waves are queued; we fire at most a few to let others go.
         for _ in 0..4 {
             if !self.fire_once(id) {
-                if self.prof.is_some() {
+                if self.prof.is_some() || self.waves_on {
                     self.note_stall(id);
-                }
-                if self.waves_on {
-                    let code = stall_code(self.classify_stall(id));
-                    self.wave.record_stall(id.index(), self.now, code);
                 }
                 return;
             }

@@ -29,7 +29,7 @@ use pegasus::{FlatPorts, Graph, NodeId};
 use crate::backend::BackendKind;
 use crate::exec::{run_event, ExecSnapshot, Executor, SimConfig, SimError, SimResult};
 use crate::memory::Machine;
-use crate::wavecap::{stall_label, Wave};
+use crate::wavecap::{stall_label, Rec, Records, Wave};
 
 /// A comparison operator for value breakpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,63 +110,37 @@ impl std::fmt::Display for Breakpoint {
     }
 }
 
-/// Change-list positions captured before a step, so a post-step scan sees
-/// only what that step appended.
-enum Cursor {
-    One(usize),
-    PerNode(Vec<usize>),
-}
-
 impl Breakpoint {
-    fn cursor(&self, w: &Wave, flat: &FlatPorts, n: usize) -> Cursor {
-        match self {
-            Breakpoint::Fire(node) => Cursor::One(w.fire_list(node.index()).len()),
-            Breakpoint::Value { node, port, .. } => {
-                Cursor::One(w.out_list(flat.out_id(*node, *port) as usize).len())
+    /// First hit among `recs` — the records one step appended — as
+    /// `(cycle, description)`. The log is time-ordered, so the first
+    /// matching record of a signal is that signal's earliest new change;
+    /// a wildcard stall break reports the lowest-numbered node among the
+    /// earliest hits.
+    fn hit(&self, mut recs: Records<'_>, flat: &FlatPorts) -> Option<(u64, String)> {
+        match *self {
+            Breakpoint::Fire(node) => recs
+                .find(|&(_, r)| r == Rec::Fire(node.index()))
+                .map(|(t, _)| (t, format!("{node} fired at cycle {t}"))),
+            Breakpoint::Value { node, port, cmp, value } => {
+                let oid = flat.out_id(node, port) as usize;
+                recs.find_map(|(t, r)| match r {
+                    Rec::Out(i, v) if i == oid && cmp.eval(v, value) => Some((t, v)),
+                    _ => None,
+                })
+                .map(|(t, v)| (t, format!("{node}.out{port} = {v} at cycle {t}")))
             }
-            Breakpoint::Stall { node: Some(node), .. } => {
-                Cursor::One(w.stall_list(node.index()).len())
-            }
-            Breakpoint::Stall { node: None, .. } => {
-                Cursor::PerNode((0..n).map(|i| w.stall_list(i).len()).collect())
-            }
-        }
-    }
-
-    /// First new hit after `cursor`, as `(cycle, description)`. Slicing is
-    /// defensive (`get`) because `finish` drains the live capture, leaving
-    /// shorter lists than a cursor taken just before the final step.
-    fn hit(&self, w: &Wave, flat: &FlatPorts, cursor: &Cursor) -> Option<(u64, String)> {
-        fn tail<T>(list: &[T], m: usize) -> &[T] {
-            list.get(m..).unwrap_or(&[])
-        }
-        match (self, cursor) {
-            (Breakpoint::Fire(node), Cursor::One(m)) => tail(w.fire_list(node.index()), *m)
-                .first()
-                .map(|&t| (t, format!("{node} fired at cycle {t}"))),
-            (Breakpoint::Value { node, port, cmp, value }, Cursor::One(m)) => {
-                tail(w.out_list(flat.out_id(*node, *port) as usize), *m)
-                    .iter()
-                    .find(|(_, v)| cmp.eval(*v, *value))
-                    .map(|&(t, v)| (t, format!("{node}.out{port} = {v} at cycle {t}")))
-            }
-            (Breakpoint::Stall { node: Some(node), code }, Cursor::One(m)) => {
-                tail(w.stall_list(node.index()), *m).iter().find(|(_, c)| c == code).map(
-                    |&(t, _)| (t, format!("{node} stalled on {} at cycle {t}", stall_label(*code))),
-                )
-            }
-            (Breakpoint::Stall { node: None, code }, Cursor::PerNode(marks)) => marks
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &m)| {
-                    tail(w.stall_list(i), m).iter().find(|(_, c)| c == code).map(|&(t, _)| (t, i))
+            Breakpoint::Stall { node, code } => recs
+                .filter_map(|(t, r)| match r {
+                    Rec::Stall(i, c) if c == code && node.is_none_or(|n| n.index() == i) => {
+                        Some((t, i))
+                    }
+                    _ => None,
                 })
                 .min()
                 .map(|(t, i)| {
                     let id = NodeId(i as u32);
-                    (t, format!("{id} stalled on {} at cycle {t}", stall_label(*code)))
+                    (t, format!("{id} stalled on {} at cycle {t}", stall_label(code)))
                 }),
-            _ => None,
         }
     }
 }
@@ -366,32 +340,24 @@ impl<'g> Replay<'g> {
             return Ok(StopReason::Finished);
         }
         let config = self.config.clone();
-        let n = self.g.len();
         let mut ex = Executor::new(self.g, &mut self.machine, &self.args, &config)?;
         ex.restore(&self.cur);
         let reason = loop {
             if ex.now() >= target {
                 break StopReason::Cycle(ex.now());
             }
-            let marks: Vec<Option<Cursor>> = if honor_breaks {
-                self.breaks
-                    .iter()
-                    .map(|b| b.as_ref().map(|b| b.cursor(ex.wave_ref(), &self.flat, n)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let mark = ex.wave_state().mark();
             let done = ex.step_once()?;
             if honor_breaks {
-                let hit =
-                    self.breaks.iter().zip(&marks).enumerate().find_map(|(i, (b, m))| {
-                        match (b, m) {
-                            (Some(b), Some(m)) => {
-                                b.hit(ex.wave_ref(), &self.flat, m).map(|(c, what)| (i, c, what))
-                            }
-                            _ => None,
-                        }
-                    });
+                // The final step hands the capture to the result.
+                let recs = match done.as_ref().and_then(|r| r.waves.as_ref()) {
+                    Some(w) => w.records_since(mark),
+                    None => ex.wave_state().records_since(mark),
+                };
+                let hit = self.breaks.iter().enumerate().find_map(|(i, b)| {
+                    let (cycle, what) = b.as_ref()?.hit(recs.clone(), &self.flat)?;
+                    Some((i, cycle, what))
+                });
                 if let Some((index, cycle, what)) = hit {
                     if let Some(r) = done {
                         self.finished = Some(r);

@@ -5,9 +5,11 @@
 //! backend ([`crate::waves`]) must agree bit-for-bit on ordering, so they
 //! share these structures instead of reimplementing them.
 
-use pegasus::NodeId;
+use crate::profile::StallCause;
+use pegasus::{FlatPorts, Graph, NodeId, VClass};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
@@ -172,6 +174,56 @@ impl PortFifos {
         self.len[p] -= 1;
         Some((self.slots[at], at))
     }
+}
+
+/// The value class each flat input port carries (what its consumer
+/// expects there), built once at executor set-up for stall attribution.
+pub(crate) fn input_classes(g: &Graph, flat: &FlatPorts) -> Vec<VClass> {
+    let mut in_class = vec![VClass::Data; flat.num_in_ports()];
+    for id in g.ids() {
+        let k = g.kind(id);
+        for p in 0..g.num_inputs(id) as u16 {
+            in_class[flat.in_id(id, p) as usize] = k.input_class(p);
+        }
+    }
+    in_class
+}
+
+/// Classifies why a node whose inputs are the flat ports `ins` could not
+/// fire just now, or `None` if it is simply idle: nothing is queued on
+/// any input. Otherwise the first input with neither a sticky source nor
+/// a queued value names the cause by its class; with every input present
+/// the node is blocked on output space. Attribution by the first missing
+/// port is an approximation for variadic joins, exact for fixed-arity
+/// operators. One pass over the node's contiguous input range, shared by
+/// both backends and by profiling and waveform capture. Nodes whose
+/// inputs are all sticky (sticky nodes themselves, and entry operations
+/// that fire once) need no special case: a sticky producer never fires,
+/// so its consumers' FIFOs stay empty and they classify as idle.
+pub(crate) fn classify_stall(
+    ins: Range<usize>,
+    fifos: &PortFifos,
+    in_sticky: &[Option<i64>],
+    in_class: &[VClass],
+) -> Option<StallCause> {
+    let mut queued = false;
+    let mut missing = None;
+    for fp in ins {
+        if !fifos.is_empty(fp) {
+            queued = true;
+        } else if missing.is_none() && in_sticky[fp].is_none() {
+            missing = Some(fp);
+        }
+    }
+    if !queued {
+        return None;
+    }
+    Some(match missing.map(|fp| in_class[fp]) {
+        Some(VClass::Data) => StallCause::DataInput,
+        Some(VClass::Pred) => StallCause::PredInput,
+        Some(VClass::Token) => StallCause::TokenInput,
+        None => StallCause::OutputSpace,
+    })
 }
 
 /// Calendar-bucket ring size, in cycles. Covers every ALU latency and the

@@ -1,12 +1,13 @@
-//! Cycle-accurate waveform capture: a compressed columnar change-list
-//! store fed by the executors' delivery/fire hooks, exportable as VCD.
+//! Cycle-accurate waveform capture: one time-ordered change log fed by
+//! the executors' delivery/fire hooks, decoded lazily into per-signal
+//! views and exportable as VCD.
 //!
 //! # Capture model
 //!
 //! When [`SimConfig::waves`](crate::SimConfig) is on, both backends call
 //! into a [`WaveState`] at the same five hook points (the sites are
-//! mirrored line-for-line between the event interpreter and the compiled
-//! executor, like the critpath recorder):
+//! mirrored between the event interpreter and the compiled executor, like
+//! the critpath recorder):
 //!
 //! - **value** — at delivery, per flat *output* port: recorded only when
 //!   the value differs from the last recorded one (a change list, not a
@@ -18,31 +19,61 @@
 //! - **pred** — per node with a predicate input (eta, load, store,
 //!   return), the popped predicate outcome, deduplicated.
 //!
-//! Each signal owns one append-only vector ("one change vector per
-//! signal"), slot-indexed off the same dense flat-port ids as the
-//! `PortFifos` slab — no maps, no per-event allocation beyond the vector
-//! growth itself. Because both backends share the pinned `(cycle, seq)`
-//! delivery order, their captures are element-identical, and the VCD they
-//! render is **byte-identical** (asserted by `tests/waves.rs` across all
+//! # Log layout
+//!
+//! Every change lands in **one append-only `Vec<u32>`**, in the order the
+//! hooks run. A record starts with a tag word: the kind in the top three
+//! bits, the signal id (flat output port, flat input port or node index)
+//! in the low 29. Output values follow their tag as two words (low, high
+//! half of the `i64`); stall codes and predicate outcomes as one. Fires
+//! and occupancy pushes/pops are the bare tag: depth is not stored but
+//! rebuilt when the log is decoded. The cycle is not stored per record
+//! either — a cycle-marker word (the delta since the previous marker, or
+//! an escape followed by the absolute cycle as two words when the delta
+//! does not fit in 29 bits) is written only when the cycle advances.
+//!
+//! Deduplication reads dense per-signal arrays (last output value, last
+//! stall code, last predicate) instead of the tail of a per-signal list,
+//! so a hook touches one small array and the end of one vector — the
+//! scattered appends into thousands of live vector tails that the capture
+//! used to pay are gone.
+//!
+//! # Views
+//!
+//! [`Wave`] keeps the log as captured. When the run finishes, `changes`
+//! is the log's length less its marker and value words (tallied on the
+//! rare paths that write them) and `signals` is read off the
+//! deduplication arrays — no pass over the log. The per-signal lists
+//! behind [`Wave::out_list`] and friends are decoded on first access, in
+//! one sequential pass cached for the capture's lifetime: a run whose
+//! capture only feeds the `cash-stats-v1` summary never builds them.
+//! Equality compares the decoded views, not the logs: the two executors
+//! may interleave different signals' hooks differently within a cycle,
+//! but every per-signal list is identical, and so is the VCD rendered
+//! from them (asserted **byte-identical** by `tests/waves.rs` across all
 //! 16 kernels).
+//!
+//! The replay debugger positions breakpoints on the log: a [`LogMark`]
+//! taken before a step, and a scan of only the records the step appended.
 //!
 //! # VCD rendering
 //!
 //! [`Wave::to_vcd`] renders through [`obs::vcd::VcdWriter`] with a scope
 //! tree mirroring hyperblocks (`hb0`, `hb1_loop`, …, `global`) and
 //! per-node variables named off [`pegasus::name::node_stem`]:
-//! `<stem>_out<p>` (64-bit value), `<stem>_in<p>_occ` (8-bit occupancy),
-//! `<stem>_fire` (32-bit cumulative fire counter), `<stem>_stall` (3-bit
-//! cause code) and `<stem>_pred` (1-bit). One simulator cycle maps to one
-//! `1ns` tick.
+//! `<stem>_out<p>` (64-bit value), `<stem>_in<p>_occ` (occupancy, 8 bits
+//! or as wide as the deepest FIFO the capture saw), `<stem>_fire` (32-bit
+//! cumulative fire counter), `<stem>_stall` (3-bit cause code) and
+//! `<stem>_pred` (1-bit). One simulator cycle maps to one `1ns` tick.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use pegasus::{FlatPorts, Graph, NodeId, NodeKind};
 
 use crate::profile::StallCause;
 
-/// Stall-cause code as stored in the stall change lists: 0 = not stalled.
+/// Stall-cause code as stored in stall records: 0 = not stalled.
 pub fn stall_code(cause: Option<StallCause>) -> u8 {
     match cause {
         None => 0,
@@ -67,36 +98,194 @@ pub fn stall_label(code: u8) -> &'static str {
     }
 }
 
-/// A completed waveform capture: columnar per-signal change lists.
+/// Tag word layout: kind above `KIND_SHIFT`, signal id (or cycle delta)
+/// below.
+const KIND_SHIFT: u32 = 29;
+const ID_MASK: u32 = (1 << KIND_SHIFT) - 1;
+const OUT: u32 = 0;
+const PUSH: u32 = 1;
+const POP: u32 = 2;
+const FIRE: u32 = 3;
+const STALL: u32 = 4;
+const PRED: u32 = 5;
+const CYCLE: u32 = 6;
+/// `last_pred` before a node's first predicate: matches neither outcome.
+const NO_PRED: u8 = 2;
+
+/// One decoded change record; ids are flat output ports (`Out`), flat
+/// input ports (`Push`, `Pop`) or node indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rec {
+    Out(usize, i64),
+    Push(usize),
+    Pop(usize),
+    Fire(usize),
+    Stall(usize, u8),
+    Pred(usize, u8),
+}
+
+/// Signal counts of a capture's geometry: flat output ports, flat input
+/// ports, nodes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Dims {
+    outs: usize,
+    ins: usize,
+    nodes: usize,
+}
+
+/// A position in a change log: word offset plus the cycle in force there.
+/// Taken before a replay step so the breakpoint scan sees only what the
+/// step appended.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LogMark {
+    pos: usize,
+    t: u64,
+}
+
+/// Sequential decoder over a log suffix, yielding `(cycle, record)`.
+#[derive(Debug, Clone)]
+pub(crate) struct Records<'a> {
+    log: &'a [u32],
+    pos: usize,
+    t: u64,
+}
+
+impl<'a> Records<'a> {
+    fn new(log: &'a [u32], from: LogMark) -> Records<'a> {
+        Records { log, pos: from.pos, t: from.t }
+    }
+
+    fn word(&mut self) -> u32 {
+        let w = self.log[self.pos];
+        self.pos += 1;
+        w
+    }
+
+    fn wide(&mut self) -> u64 {
+        let lo = u64::from(self.word());
+        lo | u64::from(self.word()) << 32
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = (u64, Rec);
+
+    fn next(&mut self) -> Option<(u64, Rec)> {
+        loop {
+            let w = *self.log.get(self.pos)?;
+            self.pos += 1;
+            let id = (w & ID_MASK) as usize;
+            let rec = match w >> KIND_SHIFT {
+                OUT => Rec::Out(id, self.wide() as i64),
+                PUSH => Rec::Push(id),
+                POP => Rec::Pop(id),
+                FIRE => Rec::Fire(id),
+                STALL => Rec::Stall(id, self.word() as u8),
+                PRED => Rec::Pred(id, self.word() as u8),
+                _ => {
+                    self.t = if w & ID_MASK == ID_MASK {
+                        self.wide()
+                    } else {
+                        self.t + u64::from(w & ID_MASK)
+                    };
+                    continue;
+                }
+            };
+            return Some((self.t, rec));
+        }
+    }
+}
+
+/// The per-signal lists decoded from a log, indexed like the accessors.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Views {
+    out: Vec<Vec<(u64, i64)>>,
+    occ: Vec<Vec<(u64, u16)>>,
+    fire: Vec<Vec<u64>>,
+    stall: Vec<Vec<(u64, u8)>>,
+    pred: Vec<Vec<(u64, u8)>>,
+    /// Deepest FIFO occupancy anywhere in the capture.
+    max_occ: u16,
+}
+
+/// A completed waveform capture: the change log plus lazily decoded
+/// per-signal views (see the module docs).
 ///
 /// Indices follow the simulator's dense port numbering: value lists by
 /// flat output-port id, occupancy lists by flat input-port id, the rest
 /// by node index. Accessors return an empty slice for out-of-range
 /// indices so callers need not special-case waves-off results.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Wave {
-    pub(crate) out_changes: Vec<Vec<(u64, i64)>>,
-    pub(crate) occ_changes: Vec<Vec<(u64, u16)>>,
-    pub(crate) fire_cycles: Vec<Vec<u64>>,
-    pub(crate) stall_changes: Vec<Vec<(u64, u8)>>,
-    pub(crate) pred_changes: Vec<Vec<(u64, u8)>>,
-    pub(crate) cycles: u64,
-    pub(crate) changes: u64,
+    log: Vec<u32>,
+    dims: Dims,
+    cycles: u64,
+    changes: u64,
+    signals: usize,
+    views: OnceLock<Views>,
+}
+
+impl PartialEq for Wave {
+    fn eq(&self, other: &Wave) -> bool {
+        self.cycles == other.cycles
+            && self.changes == other.changes
+            && self.signals == other.signals
+            && self.views() == other.views()
+    }
 }
 
 impl Wave {
-    /// Total recorded change-list entries across all signals.
+    fn views(&self) -> &Views {
+        self.views.get_or_init(|| {
+            let d = self.dims;
+            let mut v = Views {
+                out: vec![Vec::new(); d.outs],
+                occ: vec![Vec::new(); d.ins],
+                fire: vec![Vec::new(); d.nodes],
+                stall: vec![Vec::new(); d.nodes],
+                pred: vec![Vec::new(); d.nodes],
+                max_occ: 0,
+            };
+            let mut depth = vec![0u16; d.ins];
+            for (t, r) in self.records_since(LogMark::default()) {
+                match r {
+                    Rec::Out(i, x) => v.out[i].push((t, x)),
+                    Rec::Push(i) => {
+                        depth[i] = depth[i].saturating_add(1);
+                        v.max_occ = v.max_occ.max(depth[i]);
+                        v.occ[i].push((t, depth[i]));
+                    }
+                    Rec::Pop(i) => {
+                        depth[i] = depth[i].saturating_sub(1);
+                        v.occ[i].push((t, depth[i]));
+                    }
+                    Rec::Fire(i) => v.fire[i].push(t),
+                    Rec::Stall(i, c) => v.stall[i].push((t, c)),
+                    Rec::Pred(i, p) => v.pred[i].push((t, p)),
+                }
+            }
+            v
+        })
+    }
+
+    /// The records appended since `from`, oldest first.
+    pub(crate) fn records_since(&self, from: LogMark) -> Records<'_> {
+        Records::new(&self.log, from)
+    }
+
+    /// Total change records across all signals.
     pub fn num_changes(&self) -> u64 {
         self.changes
     }
 
     /// Number of signals that recorded at least one change.
     pub fn num_signals(&self) -> usize {
-        self.out_changes.iter().filter(|v| !v.is_empty()).count()
-            + self.occ_changes.iter().filter(|v| !v.is_empty()).count()
-            + self.fire_cycles.iter().filter(|v| !v.is_empty()).count()
-            + self.stall_changes.iter().filter(|v| !v.is_empty()).count()
-            + self.pred_changes.iter().filter(|v| !v.is_empty()).count()
+        self.signals
+    }
+
+    /// Size of the change log in bytes.
+    pub fn log_bytes(&self) -> usize {
+        self.log.len() * std::mem::size_of::<u32>()
     }
 
     /// Final simulated cycle of the capture.
@@ -106,28 +295,28 @@ impl Wave {
 
     /// Value changes of a flat output port: `(cycle, value)`.
     pub fn out_list(&self, oid: usize) -> &[(u64, i64)] {
-        self.out_changes.get(oid).map_or(&[], |v| v)
+        self.views().out.get(oid).map_or(&[], |v| v)
     }
 
     /// Occupancy changes of a flat input port: `(cycle, depth)`.
     pub fn occ_list(&self, fp: usize) -> &[(u64, u16)] {
-        self.occ_changes.get(fp).map_or(&[], |v| v)
+        self.views().occ.get(fp).map_or(&[], |v| v)
     }
 
     /// Cycles at which a node fired.
     pub fn fire_list(&self, node: usize) -> &[u64] {
-        self.fire_cycles.get(node).map_or(&[], |v| v)
+        self.views().fire.get(node).map_or(&[], |v| v)
     }
 
     /// Stall-state transitions of a node: `(cycle, code)`, see
     /// [`stall_code`].
     pub fn stall_list(&self, node: usize) -> &[(u64, u8)] {
-        self.stall_changes.get(node).map_or(&[], |v| v)
+        self.views().stall.get(node).map_or(&[], |v| v)
     }
 
     /// Predicate outcomes popped by a node: `(cycle, 0|1)`, deduplicated.
     pub fn pred_list(&self, node: usize) -> &[(u64, u8)] {
-        self.pred_changes.get(node).map_or(&[], |v| v)
+        self.views().pred.get(node).map_or(&[], |v| v)
     }
 
     /// The `"waves"` section of `cash-stats-v1` (stable key order, no
@@ -135,9 +324,7 @@ impl Wave {
     pub fn summary_json(&self) -> String {
         format!(
             "{{\"signals\":{},\"changes\":{},\"cycles\":{}}}",
-            self.num_signals(),
-            self.changes,
-            self.cycles
+            self.signals, self.changes, self.cycles
         )
     }
 
@@ -145,6 +332,10 @@ impl Wave {
     /// graph this capture was recorded against.
     pub fn to_vcd(&self, g: &Graph) -> String {
         let flat = FlatPorts::new(g);
+        let views = self.views();
+        // Occupancy is declared 8 bits wide unless a deeper FIFO was seen:
+        // the writer masks values to the declared width.
+        let occ_bits = (u16::BITS - views.max_occ.leading_zeros()).max(8);
         let mut w = obs::vcd::VcdWriter::new("cash-wavecap-v1", "1ns");
         // (list kind, list index, var) triples gathered during declaration
         // so the change pass replays them in declaration order — ties at
@@ -161,7 +352,7 @@ impl Wave {
                     emits.push((0, flat.out_id(id, p) as usize, v));
                 }
                 for p in 0..g.num_inputs(id) as u16 {
-                    let v = w.var(&format!("{stem}_in{p}_occ"), 8);
+                    let v = w.var(&format!("{stem}_in{p}_occ"), occ_bits);
                     emits.push((1, flat.in_id(id, p) as usize, v));
                 }
                 let v = w.var(&format!("{stem}_fire"), 32);
@@ -254,28 +445,56 @@ impl Wave {
     }
 }
 
-/// The live recorder owned by an executor. All hooks are branch-free on
-/// the happy path and are only reached behind the executor's single
-/// `waves_on` test, so the waves-off cost is one predictable branch per
-/// hook site (gated by the `obs_smoke` noise-floor check).
+/// Per-node recorder state, kept in one element so a firing's fire and
+/// stall hooks touch one cache line.
+#[derive(Debug, Clone, Copy)]
+struct NodeState {
+    /// Last recorded stall code (0 before the first record).
+    stall: u8,
+    /// Last recorded predicate, `NO_PRED` before the first.
+    pred: u8,
+    fired: bool,
+    stalled: bool,
+}
+
+/// The live recorder owned by an executor: the change log plus the dense
+/// deduplication state. Hooks are only reached behind the executor's
+/// single `waves_on` test, so the waves-off cost is one predictable
+/// branch per hook site (gated by the `obs_smoke` noise-floor check).
+///
+/// Besides deduplication, the dense arrays say which signals recorded
+/// anything, so the finished capture's counts need no pass over the log:
+/// a record's length depends on its tag, and a scan that must decode one
+/// record to find the next is a serial chain of dependent loads.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WaveState {
-    w: Wave,
+    log: Vec<u32>,
+    /// Cycle of the last marker written (0 before the first).
+    t: u64,
+    /// Cycle-marker and value words in the log: every other word is a
+    /// record's tag, so the change count needs no per-record work.
+    aux_words: usize,
+    last_out: Vec<Option<i64>>,
+    /// Per flat input port: has it recorded a push? (Every pop follows a
+    /// push on the same port, so this marks every occupancy signal.)
+    pushed: Vec<bool>,
+    node: Vec<NodeState>,
 }
 
 impl WaveState {
-    /// Recorder with capacity for the graph's flat geometry.
+    /// Recorder for the graph's flat geometry.
     pub(crate) fn new(num_out: usize, num_in: usize, nodes: usize) -> WaveState {
+        assert!(
+            num_out.max(num_in).max(nodes) <= ID_MASK as usize,
+            "graph too large for the wave log's 29-bit signal ids"
+        );
         WaveState {
-            w: Wave {
-                out_changes: vec![Vec::new(); num_out],
-                occ_changes: vec![Vec::new(); num_in],
-                fire_cycles: vec![Vec::new(); nodes],
-                stall_changes: vec![Vec::new(); nodes],
-                pred_changes: vec![Vec::new(); nodes],
-                cycles: 0,
-                changes: 0,
-            },
+            log: Vec::new(),
+            t: 0,
+            aux_words: 0,
+            last_out: vec![None; num_out],
+            pushed: vec![false; num_in],
+            node: vec![NodeState { stall: 0, pred: NO_PRED, fired: false, stalled: false }; nodes],
         }
     }
 
@@ -286,64 +505,134 @@ impl WaveState {
         WaveState::default()
     }
 
+    /// Appends the tag word of a record at cycle `t`, preceded by a cycle
+    /// marker when the cycle has advanced.
+    #[inline]
+    fn tag(&mut self, t: u64, kind: u32, id: usize) {
+        if t != self.t {
+            self.mark_cycle(t);
+        }
+        self.log.push(kind << KIND_SHIFT | id as u32);
+    }
+
+    /// Writes the marker that moves the log to cycle `t`. Once per active
+    /// cycle, so kept out of line: the hooks inline into the executors'
+    /// delivery and pop paths, which stay as small as with waves off.
+    #[inline(never)]
+    fn mark_cycle(&mut self, t: u64) {
+        let delta = t.wrapping_sub(self.t);
+        if delta < u64::from(ID_MASK) {
+            self.log.push(CYCLE << KIND_SHIFT | delta as u32);
+            self.aux_words += 1;
+        } else {
+            self.log.extend_from_slice(&[
+                CYCLE << KIND_SHIFT | ID_MASK,
+                t as u32,
+                (t >> 32) as u32,
+            ]);
+            self.aux_words += 3;
+        }
+        self.t = t;
+    }
+
     #[inline]
     pub(crate) fn record_out(&mut self, oid: usize, t: u64, value: i64) {
-        let list = &mut self.w.out_changes[oid];
-        if list.last().map(|&(_, v)| v) != Some(value) {
-            list.push((t, value));
-            self.w.changes += 1;
+        if self.last_out[oid] != Some(value) {
+            self.last_out[oid] = Some(value);
+            self.tag(t, OUT, oid);
+            self.log.extend_from_slice(&[value as u32, (value as u64 >> 32) as u32]);
+            self.aux_words += 2;
         }
     }
 
     #[inline]
     pub(crate) fn record_occ_push(&mut self, fp: usize, t: u64) {
-        let list = &mut self.w.occ_changes[fp];
-        let occ = list.last().map_or(0, |&(_, d)| d) + 1;
-        list.push((t, occ));
-        self.w.changes += 1;
+        self.pushed[fp] = true;
+        self.tag(t, PUSH, fp);
     }
 
     #[inline]
     pub(crate) fn record_occ_pop(&mut self, fp: usize, t: u64) {
-        let list = &mut self.w.occ_changes[fp];
-        let occ = list.last().map_or(0, |&(_, d)| d).saturating_sub(1);
-        list.push((t, occ));
-        self.w.changes += 1;
+        self.tag(t, POP, fp);
     }
 
     #[inline]
     pub(crate) fn record_fire(&mut self, node: usize, t: u64) {
-        self.w.fire_cycles[node].push(t);
-        self.w.changes += 1;
+        self.node[node].fired = true;
+        self.tag(t, FIRE, node);
     }
 
     #[inline]
     pub(crate) fn record_stall(&mut self, node: usize, t: u64, code: u8) {
-        let list = &mut self.w.stall_changes[node];
-        if list.last().map_or(0, |&(_, c)| c) != code {
-            list.push((t, code));
-            self.w.changes += 1;
+        let n = &mut self.node[node];
+        if n.stall != code {
+            n.stall = code;
+            n.stalled = true;
+            self.tag(t, STALL, node);
+            self.log.push(u32::from(code));
+            self.aux_words += 1;
         }
     }
 
     #[inline]
     pub(crate) fn record_pred(&mut self, node: usize, t: u64, pred: bool) {
-        let list = &mut self.w.pred_changes[node];
         let p = u8::from(pred);
-        if list.last().map(|&(_, c)| c) != Some(p) {
-            list.push((t, p));
-            self.w.changes += 1;
+        let n = &mut self.node[node];
+        if n.pred != p {
+            n.pred = p;
+            self.tag(t, PRED, node);
+            self.log.push(u32::from(p));
+            self.aux_words += 1;
         }
     }
 
-    pub(crate) fn wave(&self) -> &Wave {
-        &self.w
+    /// Wraps `log` (this recorder's log, or a copy) as a [`Wave`]: every
+    /// word that is not auxiliary is a record, and the dense arrays say
+    /// which signals recorded anything.
+    fn package(&self, log: Vec<u32>, cycles: u64) -> Wave {
+        let signals = self.last_out.iter().filter(|v| v.is_some()).count()
+            + self.pushed.iter().filter(|&&p| p).count()
+            + self
+                .node
+                .iter()
+                .map(|n| {
+                    usize::from(n.fired) + usize::from(n.stalled) + usize::from(n.pred != NO_PRED)
+                })
+                .sum::<usize>();
+        Wave {
+            changes: (log.len() - self.aux_words) as u64,
+            log,
+            dims: Dims {
+                outs: self.last_out.len(),
+                ins: self.pushed.len(),
+                nodes: self.node.len(),
+            },
+            cycles,
+            signals,
+            views: OnceLock::new(),
+        }
+    }
+
+    /// The current end of the log.
+    pub(crate) fn mark(&self) -> LogMark {
+        LogMark { pos: self.log.len(), t: self.t }
+    }
+
+    /// The records appended since `from`, oldest first.
+    pub(crate) fn records_since(&self, from: LogMark) -> Records<'_> {
+        Records::new(&self.log, from)
+    }
+
+    /// The capture so far as a [`Wave`] (copies the log; `cycles` stays 0
+    /// until the run finishes).
+    pub(crate) fn to_wave(&self) -> Wave {
+        self.package(self.log.clone(), 0)
     }
 
     /// Packages the capture at end of run, stamping the final cycle.
     pub(crate) fn into_wave(mut self, cycles: u64) -> Wave {
-        self.w.cycles = cycles;
-        self.w
+        let log = std::mem::take(&mut self.log);
+        self.package(log, cycles)
     }
 }
 
@@ -399,5 +688,195 @@ mod tests {
         assert_eq!(stall_code(None), 0);
         assert_eq!(stall_code(Some(StallCause::OutputSpace)), 5);
         assert_eq!(stall_label(4), "lsq");
+    }
+
+    /// The per-signal change-list store the log replaced, kept as the
+    /// reference semantics for the decode.
+    #[derive(Default)]
+    struct Reference {
+        out: Vec<Vec<(u64, i64)>>,
+        occ: Vec<Vec<(u64, u16)>>,
+        fire: Vec<Vec<u64>>,
+        stall: Vec<Vec<(u64, u8)>>,
+        pred: Vec<Vec<(u64, u8)>>,
+        changes: u64,
+    }
+
+    impl Reference {
+        fn new(outs: usize, ins: usize, nodes: usize) -> Reference {
+            Reference {
+                out: vec![Vec::new(); outs],
+                occ: vec![Vec::new(); ins],
+                fire: vec![Vec::new(); nodes],
+                stall: vec![Vec::new(); nodes],
+                pred: vec![Vec::new(); nodes],
+                changes: 0,
+            }
+        }
+
+        fn out(&mut self, i: usize, t: u64, v: i64) {
+            if self.out[i].last().map(|&(_, x)| x) != Some(v) {
+                self.out[i].push((t, v));
+                self.changes += 1;
+            }
+        }
+
+        fn occ(&mut self, i: usize, t: u64, push: bool) {
+            let d = self.occ[i].last().map_or(0, |&(_, d)| d);
+            self.occ[i].push((t, if push { d + 1 } else { d.saturating_sub(1) }));
+            self.changes += 1;
+        }
+
+        fn fire(&mut self, i: usize, t: u64) {
+            self.fire[i].push(t);
+            self.changes += 1;
+        }
+
+        fn stall(&mut self, i: usize, t: u64, c: u8) {
+            if self.stall[i].last().map_or(0, |&(_, x)| x) != c {
+                self.stall[i].push((t, c));
+                self.changes += 1;
+            }
+        }
+
+        fn pred(&mut self, i: usize, t: u64, p: u8) {
+            if self.pred[i].last().map(|&(_, x)| x) != Some(p) {
+                self.pred[i].push((t, p));
+                self.changes += 1;
+            }
+        }
+
+        fn signals(&self) -> usize {
+            fn live<T>(l: &[Vec<T>]) -> usize {
+                l.iter().filter(|v| !v.is_empty()).count()
+            }
+            live(&self.out)
+                + live(&self.occ)
+                + live(&self.fire)
+                + live(&self.stall)
+                + live(&self.pred)
+        }
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Random interleaved hook sequences decode to exactly what the
+    /// per-signal store recorded: every view, both counts and the summary.
+    /// Values come from a small range so deduplication fires; cycles take
+    /// occasional jumps past 2^32 to exercise the escaped cycle marker.
+    #[test]
+    fn log_decode_matches_per_signal_reference() {
+        let (outs, ins, nodes) = (5, 4, 3);
+        for seed in 1..=64u64 {
+            let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut st = WaveState::new(outs, ins, nodes);
+            let mut re = Reference::new(outs, ins, nodes);
+            let mut t = 0u64;
+            let mut depth = vec![0u16; ins];
+            for _ in 0..rng.below(400) {
+                t += match rng.below(20) {
+                    0 => 1 << 32,
+                    1 => u64::from(ID_MASK) - 1 + rng.below(3),
+                    2..=9 => rng.below(4),
+                    _ => 0,
+                };
+                match rng.below(6) {
+                    0 => {
+                        let (i, v) = (rng.below(outs as u64) as usize, rng.below(5) as i64 - 2);
+                        st.record_out(i, t, v);
+                        re.out(i, t, v);
+                    }
+                    1 => {
+                        let i = rng.below(ins as u64) as usize;
+                        // Pops only of queued values, as the executors do.
+                        let push = depth[i] == 0 || rng.below(2) == 0;
+                        if push {
+                            st.record_occ_push(i, t);
+                            depth[i] += 1;
+                        } else {
+                            st.record_occ_pop(i, t);
+                            depth[i] -= 1;
+                        }
+                        re.occ(i, t, push);
+                    }
+                    2 => {
+                        let i = rng.below(nodes as u64) as usize;
+                        st.record_fire(i, t);
+                        re.fire(i, t);
+                    }
+                    3 | 4 => {
+                        let (i, c) = (rng.below(nodes as u64) as usize, rng.below(3) as u8);
+                        st.record_stall(i, t, c);
+                        re.stall(i, t, c);
+                    }
+                    _ => {
+                        let (i, p) = (rng.below(nodes as u64) as usize, rng.below(2) == 1);
+                        st.record_pred(i, t, p);
+                        re.pred(i, t, u8::from(p));
+                    }
+                }
+            }
+            let w = st.into_wave(t);
+            for i in 0..outs {
+                assert_eq!(w.out_list(i), &re.out[i][..], "seed {seed}: out {i}");
+            }
+            for i in 0..ins {
+                assert_eq!(w.occ_list(i), &re.occ[i][..], "seed {seed}: occ {i}");
+            }
+            for i in 0..nodes {
+                assert_eq!(w.fire_list(i), &re.fire[i][..], "seed {seed}: fire {i}");
+                assert_eq!(w.stall_list(i), &re.stall[i][..], "seed {seed}: stall {i}");
+                assert_eq!(w.pred_list(i), &re.pred[i][..], "seed {seed}: pred {i}");
+            }
+            assert_eq!(w.num_changes(), re.changes, "seed {seed}");
+            assert_eq!(w.num_signals(), re.signals(), "seed {seed}");
+            assert_eq!(
+                w.summary_json(),
+                format!(
+                    "{{\"signals\":{},\"changes\":{},\"cycles\":{t}}}",
+                    re.signals(),
+                    re.changes
+                ),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// A mark taken mid-run scans exactly the records appended after it,
+    /// with their cycles, even across an escaped marker.
+    #[test]
+    fn records_since_a_mark_see_only_the_suffix() {
+        let mut st = WaveState::new(1, 0, 2);
+        st.record_fire(0, 3);
+        st.record_out(0, 3, -7);
+        let m = st.mark();
+        st.record_fire(1, 3);
+        st.record_stall(0, 5 << 32, 2);
+        st.record_out(0, (5 << 32) + 1, i64::MIN);
+        let suffix: Vec<_> = st.records_since(m).collect();
+        assert_eq!(
+            suffix,
+            [
+                (3, Rec::Fire(1)),
+                (5 << 32, Rec::Stall(0, 2)),
+                ((5 << 32) + 1, Rec::Out(0, i64::MIN))
+            ]
+        );
+        let w = st.into_wave(6 << 32);
+        assert_eq!(w.records_since(m).collect::<Vec<_>>(), suffix);
+        assert_eq!(w.out_list(0), &[(3, -7), ((5 << 32) + 1, i64::MIN)]);
     }
 }

@@ -26,10 +26,12 @@ use crate::critpath::{self, CritState, EdgeClass, NO_REC};
 use crate::exec::{observe, BlockedNode, SimConfig, SimError, SimResult};
 use crate::memory::Machine;
 use crate::profile::{kind_label, NodeProfile, SimProfile, StallCause};
-use crate::sched::{Ev, EventQueue, MemRequest, PendingOut, PortFifos, TokenGenState, RECENT_CAP};
+use crate::sched::{
+    self, Ev, EventQueue, MemRequest, PendingOut, PortFifos, TokenGenState, RECENT_CAP,
+};
 use crate::trace::{Trace, TraceEvent};
 use crate::wavecap::{stall_code, WaveState};
-use pegasus::{Graph, NodeId, VClass};
+use pegasus::{Graph, NodeId};
 use std::collections::VecDeque;
 
 /// Runs a pre-lowered program with the full telemetry wrapper — the
@@ -622,42 +624,17 @@ impl<'a> CompiledExec<'a> {
         out
     }
 
-    /// Stall attribution — same rules as the event backend, against the
-    /// lowered tables.
+    /// Stall attribution — the event backend's rule
+    /// ([`sched::classify_stall`]) over the lowered tables.
     fn classify_stall(&self, i: u32) -> Option<StallCause> {
         let op = &self.prog.ops[i as usize];
-        if self.sticky[i as usize].is_some()
-            || (self.once_only[i as usize] && self.has_fired[i as usize])
-        {
-            return None;
-        }
-        if op.nin == 0 {
-            return None;
-        }
-        let mut queued = false;
-        let mut missing = None;
-        for p in 0..op.nin {
-            let fp = (op.in_base + u32::from(p)) as usize;
-            if self.avail(fp) {
-                queued |= !self.fifos.is_empty(fp);
-            } else if missing.is_none() {
-                missing = Some(fp);
-            }
-        }
-        match missing {
-            Some(fp) => {
-                if !queued {
-                    return None; // nothing has arrived: idle, not stalled
-                }
-                Some(match self.prog.in_class[fp] {
-                    VClass::Data => StallCause::DataInput,
-                    VClass::Pred => StallCause::PredInput,
-                    VClass::Token => StallCause::TokenInput,
-                })
-            }
-            None if queued => Some(StallCause::OutputSpace),
-            None => None,
-        }
+        let start = op.in_base as usize;
+        sched::classify_stall(
+            start..start + usize::from(op.nin),
+            &self.fifos,
+            &self.in_sticky,
+            &self.prog.in_class,
+        )
     }
 
     fn note_fire(&mut self, i: u32) {
@@ -674,12 +651,21 @@ impl<'a> CompiledExec<'a> {
         }
     }
 
+    /// Bookkeeping for a failed firing attempt, sharing one stall
+    /// classification: profiling opens a stall window (once) attributed to
+    /// whatever is holding the node up, and waveform capture records the
+    /// stall class.
     fn note_stall(&mut self, i: u32) {
-        if self.stall_since[i as usize].is_some() {
+        let open = self.prof.is_some() && self.stall_since[i as usize].is_none();
+        if !open && !self.waves_on {
             return;
         }
-        if let Some(cause) = self.classify_stall(i) {
-            self.stall_since[i as usize] = Some((self.now, cause));
+        let cause = self.classify_stall(i);
+        if open {
+            self.stall_since[i as usize] = cause.map(|c| (self.now, c));
+        }
+        if self.waves_on {
+            self.wave.record_stall(i as usize, self.now, stall_code(cause));
         }
     }
 
@@ -688,12 +674,8 @@ impl<'a> CompiledExec<'a> {
         // backend, so one node cannot monopolize a wave.
         for _ in 0..4 {
             if !self.fire_once(i) {
-                if self.prof.is_some() {
+                if self.prof.is_some() || self.waves_on {
                     self.note_stall(i);
-                }
-                if self.waves_on {
-                    let code = stall_code(self.classify_stall(i));
-                    self.wave.record_stall(i as usize, self.now, code);
                 }
                 return;
             }

@@ -92,6 +92,13 @@ fn main() {
         wave.num_changes(),
         vcd.len()
     );
+    // The capture's own work, deterministic for a given run: bytes of
+    // change log and change records written per firing.
+    println!(
+        "cashwave: capture log {} bytes, {:.3} change records per firing",
+        wave.log_bytes(),
+        wave.num_changes() as f64 / r.fired.max(1) as f64
+    );
 }
 
 fn parse_level(s: &str) -> Option<OptLevel> {

@@ -175,3 +175,114 @@ fn reverse_step_reproduces_forward_state() {
         other => panic!("expected a breakpoint hit for {node}, got {other:?}"),
     }
 }
+
+/// Occupancy variables are declared as wide as the deepest FIFO the
+/// capture saw: with channels deeper than 255 a depth must read back out
+/// of the VCD unmasked, not wrapped to 8 bits.
+#[test]
+fn deep_channels_widen_the_occupancy_variables() {
+    let src = "int a[1000];\n\
+               int main(int n) {\n\
+                   int s = 0;\n\
+                   for (int i = 0; i < n; i++) s += a[i];\n\
+                   return s;\n\
+               }\n";
+    let p = Compiler::new().level(OptLevel::Full).compile(src).unwrap();
+    // Slow memory behind one LSQ port lets the loop run far ahead of its
+    // loads, filling the address channel to its capacity of 300.
+    let cfg = SimConfig {
+        mem: MemSystem::Perfect { latency: 500 },
+        lsq_ports: 1,
+        channel_capacity: 300,
+        ..SimConfig::default()
+    }
+    .with_waves(true);
+    let r = p.simulate(&[400], &cfg).unwrap();
+    let vcd = r.waves.as_ref().expect("waves enabled").to_vcd(&p.graph);
+    let mut occ_codes = std::collections::HashMap::new();
+    for line in vcd.lines() {
+        if let ["$var", "wire", width, code, name, "$end"] =
+            line.split_whitespace().collect::<Vec<_>>()[..]
+        {
+            if name.ends_with("_occ") {
+                occ_codes.insert(code.to_string(), width.parse::<u32>().unwrap());
+            }
+        }
+    }
+    assert!(!occ_codes.is_empty(), "no occupancy variables declared");
+    assert!(occ_codes.values().all(|&w| w == 9), "depth 300 needs 9 bits: {occ_codes:?}");
+    let deepest = vcd
+        .lines()
+        .filter_map(|l| l.strip_prefix('b')?.split_once(' '))
+        .filter(|(_, code)| occ_codes.contains_key(*code))
+        .filter_map(|(bits, _)| u64::from_str_radix(bits, 2).ok())
+        .max()
+        .expect("occupancy changes recorded");
+    assert_eq!(deepest, 300, "deepest occupancy read back from the VCD");
+}
+
+/// Breakpoints scan only what each step appended to the capture: every
+/// hit lands on the first matching change at or after the cursor, as the
+/// finished capture's per-signal lists record it — for a value break, a
+/// single-node stall break and a wildcard stall break (earliest cycle,
+/// then lowest node).
+#[test]
+fn breakpoints_hit_the_first_matching_change_after_the_cursor() {
+    use cash::{Breakpoint, Cmp};
+    let w = workloads::by_name("adpcm_e").expect("suite kernel");
+    let p = Compiler::new().level(OptLevel::Full).compile(w.source).unwrap();
+    let cfg = perfect();
+    let machine = p.machine(cfg.mem.clone());
+    let mut rp = Replay::new(&p.graph, machine, &[8], &cfg, 64).unwrap();
+    let full = rp.final_result().waves.clone().expect("replay records waves");
+    let flat = pegasus::FlatPorts::new(&p.graph);
+    let from = 120u64;
+
+    // The busiest output port, broken on its first value above its
+    // first recorded value.
+    let (node, port) = p
+        .graph
+        .live_ids()
+        .flat_map(|id| (0..p.graph.kind(id).num_outputs()).map(move |q| (id, q)))
+        .max_by_key(|&(id, q)| full.out_list(flat.out_id(id, q) as usize).len())
+        .expect("graph has outputs");
+    let outs = full.out_list(flat.out_id(node, port) as usize);
+    let threshold = outs[0].1;
+    let expect_value = outs.iter().find(|&&(t, v)| t >= from && v > threshold).map(|&(t, _)| t);
+
+    // The node that enters the data-stall class most often.
+    let data = 1u8;
+    let stalls = |i: usize| full.stall_list(i).iter().filter(|&&(_, c)| c == data).count();
+    let busy = p.graph.live_ids().max_by_key(|id| stalls(id.index())).expect("nodes");
+    let first_data = |i: usize| {
+        full.stall_list(i).iter().find(|&&(t, c)| t >= from && c == data).map(|&(t, _)| t)
+    };
+    let expect_any =
+        p.graph.live_ids().filter_map(|id| Some((first_data(id.index())?, id.index()))).min();
+
+    let cases = [
+        (Breakpoint::Value { node, port, cmp: Cmp::Gt, value: threshold }, expect_value, None),
+        (Breakpoint::Stall { node: Some(busy), code: data }, first_data(busy.index()), None),
+        (
+            Breakpoint::Stall { node: None, code: data },
+            expect_any.map(|(t, _)| t),
+            expect_any.map(|(_, i)| format!("n{i} stalled")),
+        ),
+    ];
+    for (bp, expect, who) in cases {
+        assert!(expect.is_some(), "{bp}: no matching change after cycle {from}");
+        rp.run_to(from).unwrap();
+        let idx = rp.add_break(bp.clone());
+        let stop = rp.cont().unwrap();
+        rp.delete_break(idx);
+        match (stop, expect) {
+            (StopReason::Breakpoint { index, cycle, what }, Some(t)) => {
+                assert_eq!((index, cycle), (idx, t), "{bp}: {what}");
+                if let Some(who) = &who {
+                    assert!(what.starts_with(who.as_str()), "{bp}: {what} (expected {who})");
+                }
+            }
+            (stop, expect) => panic!("{bp}: stopped with {stop:?}, expected a hit at {expect:?}"),
+        }
+    }
+}
