@@ -13,7 +13,6 @@
 //! delivers values in order, merges pop in global arrival order, and
 //! run-time constants are modeled as always-available *sticky* sources.
 
-use crate::backend::{backend_for, BackendKind};
 use crate::critpath::{self, CritState, CritSummary, EdgeClass, NO_REC};
 use crate::memory::{Machine, MemStats, MemSystem};
 use crate::profile::{kind_label, NodeProfile, SimProfile, StallCause};
@@ -21,7 +20,7 @@ use crate::sched::{
     self, Ev, EventQueue, MemRequest, PendingOut, PortFifos, TokenGenState, RECENT_CAP,
 };
 use crate::trace::{Trace, TraceEvent};
-use crate::wavecap::{stall_code, Wave, WaveState};
+use crate::waves::{stall_code, Wave, WaveState};
 use cfgir::types::{BinOp, Type};
 use pegasus::{FlatPorts, Graph, NodeId, NodeKind, Src, VClass};
 use std::collections::VecDeque;
@@ -58,11 +57,6 @@ pub struct SimConfig {
     /// scales with total channel activity (comparable to `trace`); the
     /// uninstrumented path pays only a branch per hook site.
     pub waves: bool,
-    /// Which simulator backend executes the circuit. Defaults to the
-    /// `CASH_BACKEND` environment variable (`event` when unset); both
-    /// backends are observationally identical (see `tests/backend_equiv`),
-    /// so this only trades simulation wall time.
-    pub backend: BackendKind,
 }
 
 impl Default for SimConfig {
@@ -77,7 +71,6 @@ impl Default for SimConfig {
             trace: false,
             critpath: false,
             waves: false,
-            backend: BackendKind::from_env(),
         }
     }
 }
@@ -106,13 +99,6 @@ impl SimConfig {
         self.waves = waves;
         self
     }
-
-    /// This configuration pinned to a specific backend (ignoring
-    /// `CASH_BACKEND`) — differential tests and goldens use this.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 /// The outcome of a completed simulation.
@@ -135,7 +121,10 @@ pub struct SimResult {
     /// Wall-clock time the simulation took, microseconds (the simulator's
     /// own cost, not the simulated circuit's — mirrors `opt.us`).
     pub wall_us: u64,
-    /// Which backend produced this result (`"event"` or `"compiled"`).
+    /// Provenance label of the executor that produced this result, always
+    /// `"event"`. Kept as the `cash-stats-v1` `"backend"` key because
+    /// stats readers (`bench_diff --history`, the benchmark's tally) check
+    /// it.
     pub backend: &'static str,
     /// Per-node firing/stall profile ([`SimConfig::profile`]).
     pub profile: Option<SimProfile>,
@@ -273,8 +262,8 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Runs `graph` on `machine` with the given arguments, dispatching to the
-/// backend selected in `config` (see [`BackendKind`]).
+/// Runs `graph` on `machine` with the given arguments, under the shared
+/// telemetry (span, metrics, flight note), and stamps the wall time.
 ///
 /// # Errors
 ///
@@ -285,17 +274,8 @@ pub fn simulate(
     args: &[i64],
     config: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    observe(|| backend_for(config.backend).run(graph, machine, args, config))
-}
-
-/// Wraps one raw backend run with the shared telemetry (span, metrics,
-/// flight note) and stamps the wall time. Every public simulation entry
-/// point funnels through here so both backends report identically.
-pub(crate) fn observe(
-    run: impl FnOnce() -> Result<SimResult, SimError>,
-) -> Result<SimResult, SimError> {
     let sp = obs::span::enter("sim.run");
-    let out = run();
+    let out = Executor::new(graph, machine, args, config).and_then(Executor::run);
     let wall_us = sp.end_us();
     obs::metrics::histogram("sim.us").observe(wall_us);
     match out {
@@ -313,17 +293,6 @@ pub(crate) fn observe(
             Err(e)
         }
     }
-}
-
-/// The event backend's raw entry point: no telemetry wrapper, no wall-time
-/// stamp (see [`observe`]).
-pub(crate) fn run_event(
-    graph: &Graph,
-    machine: &mut Machine,
-    args: &[i64],
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    Executor::new(graph, machine, args, config).and_then(Executor::run)
 }
 
 /// Diagnostic: runs the graph and, on failure, returns a textual dump of
@@ -699,7 +668,7 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn run(mut self) -> Result<SimResult, SimError> {
+    pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
         loop {
             match self.step_once() {
                 Ok(Some(r)) => return Ok(r),
@@ -993,7 +962,7 @@ impl<'a> Executor<'a> {
             fired: self.fired,
             deferrals: self.deferrals,
             wall_us: 0, // stamped by the public entry points
-            backend: BackendKind::Event.label(),
+            backend: "event",
             profile,
             trace,
             crit,
@@ -1137,15 +1106,35 @@ impl<'a> Executor<'a> {
     }
 
     /// Classifies why `id` could not fire just now, or `None` if it is
-    /// simply idle (see [`sched::classify_stall`]).
+    /// simply idle: nothing is queued on any input. Otherwise the first
+    /// input with neither a sticky source nor a queued value names the
+    /// cause by its class; with every input present the node is blocked on
+    /// output space. Attribution by the first missing port is an
+    /// approximation for variadic joins, exact for fixed-arity operators.
+    /// Nodes whose inputs are all sticky (sticky nodes themselves, and
+    /// entry operations that fire once) need no special case: a sticky
+    /// producer never fires, so its consumers' FIFOs stay empty and they
+    /// classify as idle.
     fn classify_stall(&self, id: NodeId) -> Option<StallCause> {
         let (start, end) = self.flat.in_range(id);
-        sched::classify_stall(
-            start as usize..end as usize,
-            &self.fifos,
-            &self.in_sticky,
-            &self.in_class,
-        )
+        let mut queued = false;
+        let mut missing = None;
+        for fp in start as usize..end as usize {
+            if !self.fifos.is_empty(fp) {
+                queued = true;
+            } else if missing.is_none() && self.in_sticky[fp].is_none() {
+                missing = Some(fp);
+            }
+        }
+        if !queued {
+            return None;
+        }
+        Some(match missing.map(|fp| self.in_class[fp]) {
+            Some(VClass::Data) => StallCause::DataInput,
+            Some(VClass::Pred) => StallCause::PredInput,
+            Some(VClass::Token) => StallCause::TokenInput,
+            None => StallCause::OutputSpace,
+        })
     }
 
     /// Profiling bookkeeping for a successful firing of `id`.

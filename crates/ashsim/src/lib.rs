@@ -39,8 +39,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod backend;
-pub mod compile;
 pub mod critpath;
 pub mod exec;
 pub mod memory;
@@ -48,19 +46,18 @@ pub mod profile;
 pub mod replay;
 mod sched;
 pub mod trace;
-pub mod wavecap;
+#[cfg(test)]
+#[path = "waves_tests.rs"]
+mod wavecap;
 pub mod waves;
 
-pub use backend::{backend_for, BackendKind, CompiledBackend, EventBackend, SimBackend};
-pub use compile::{InPortView, LoweredProgram, OpView};
 pub use critpath::{CritEdge, CritSummary, EdgeClass};
 pub use exec::{diagnose, simulate, BlockedNode, SimConfig, SimError, SimResult};
 pub use memory::{CacheParams, Machine, MemStats, MemSystem, MemTimeline};
 pub use profile::{kind_label, NodeProfile, SimProfile, StallCause};
 pub use replay::{Breakpoint, Cmp, Replay, StopReason};
 pub use trace::{Trace, TraceEvent};
-pub use wavecap::{stall_code, stall_label, Wave};
-pub use waves::{simulate_lowered, BatchRunner};
+pub use waves::{stall_code, stall_label, Wave};
 
 #[cfg(test)]
 mod tests {

@@ -5,9 +5,9 @@
 //! # Why this is sound
 //!
 //! The simulator's ordering contract pins the entire schedule to the
-//! global `(cycle, seq)` delivery order (see `tests/backend_equiv`): an
-//! executor's run-time state is *all* of its state — there is no hidden
-//! scheduler nondeterminism. [`ExecSnapshot`](crate::exec) therefore
+//! global `(cycle, seq)` delivery order: an executor's run-time state is
+//! *all* of its state — there is no hidden scheduler nondeterminism.
+//! [`ExecSnapshot`](crate::exec) therefore
 //! clones the FIFO slab, the event queue, the LSQ, the memory image and
 //! the `seq` counter, and re-stepping from a restored snapshot reproduces
 //! the original run bit-for-bit. The checkpoint round-trip test in
@@ -16,20 +16,18 @@
 //!
 //! # Capture discipline
 //!
-//! [`Replay::new`] performs the full run once up front (event backend,
-//! waveforms on), harvesting checkpoints and the final result, then runs
-//! once more with critical-path recording to pin the path for the `crit`
-//! command. After that, every navigation command rebuilds a throwaway
+//! [`Replay::new`] performs the full run once up front (waveforms on),
+//! harvesting checkpoints and the final result, then runs once more with
+//! critical-path recording to pin the path for the `crit` command. After that, every navigation command rebuilds a throwaway
 //! executor, restores the in-memory snapshot, steps, and snapshots back —
 //! a few milliseconds even for the larger kernels, which is what makes
 //! "reverse-step" feel instant in `cashdbg`.
 
 use pegasus::{FlatPorts, Graph, NodeId};
 
-use crate::backend::BackendKind;
-use crate::exec::{run_event, ExecSnapshot, Executor, SimConfig, SimError, SimResult};
+use crate::exec::{ExecSnapshot, Executor, SimConfig, SimError, SimResult};
 use crate::memory::Machine;
-use crate::wavecap::{stall_label, Rec, Records, Wave};
+use crate::waves::{stall_label, Rec, Records, Wave};
 
 /// A comparison operator for value breakpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +87,7 @@ pub enum Breakpoint {
     /// `cmp value` (a change-list hit — unchanged repeats don't trigger).
     Value { node: NodeId, port: u16, cmp: Cmp, value: i64 },
     /// Stop when a node enters this stall class (see
-    /// [`crate::wavecap::stall_code`]); `node: None` watches every node.
+    /// [`crate::waves::stall_code`]); `node: None` watches every node.
     Stall { node: Option<NodeId>, code: u8 },
 }
 
@@ -175,9 +173,8 @@ pub struct Replay<'g> {
 
 impl<'g> Replay<'g> {
     /// Builds a replay session: one full recording run (checkpoints every
-    /// `interval` cycles, waveforms on, event backend — the backends are
-    /// proven observationally identical, so replaying on the interpreter
-    /// loses nothing), plus one critical-path run for [`Self::hops`].
+    /// `interval` cycles, waveforms on), plus one untimed critical-path run
+    /// for [`Self::hops`].
     /// `machine` must be the pristine pre-run memory image.
     pub fn new(
         g: &'g Graph,
@@ -188,7 +185,6 @@ impl<'g> Replay<'g> {
     ) -> Result<Replay<'g>, SimError> {
         let mut config = config.clone();
         config.waves = true;
-        config.backend = BackendKind::Event;
         config.profile = false;
         config.trace = false;
         config.critpath = false;
@@ -217,7 +213,8 @@ impl<'g> Replay<'g> {
             let mut crit_config = config.clone();
             crit_config.waves = false;
             crit_config.critpath = true;
-            run_event(g, &mut crit_machine, args, &crit_config)?
+            Executor::new(g, &mut crit_machine, args, &crit_config)
+                .and_then(Executor::run)?
                 .crit
                 .map(|c| c.hops)
                 .unwrap_or_default()

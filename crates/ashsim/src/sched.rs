@@ -1,15 +1,11 @@
-//! Scheduling machinery shared by both simulator backends: the channel
+//! Scheduling machinery of the executor ([`crate::exec`]): the channel
 //! FIFO slab, the calendar event queue, and the small in-flight record
 //! types (deliveries, LSQ requests, pending memory outputs, token
-//! generators). The event backend ([`crate::exec`]) and the compiled
-//! backend ([`crate::waves`]) must agree bit-for-bit on ordering, so they
-//! share these structures instead of reimplementing them.
+//! generators).
 
-use crate::profile::StallCause;
 use pegasus::{FlatPorts, Graph, NodeId, VClass};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::ops::Range;
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
@@ -34,8 +30,8 @@ pub(crate) struct MemRequest {
     pub(crate) fire: u32,
 }
 
-/// One outstanding output slot of a memory node (see the executors'
-/// `mem_out` fields).
+/// One outstanding output slot of a memory node (see the executor's
+/// `mem_out` field).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PendingOut {
     /// A queued LSQ request will fill this slot when it issues.
@@ -62,7 +58,7 @@ pub(crate) struct TokenGenState {
     pub(crate) last_arrival: Option<(u64, u32, u8)>,
 }
 
-/// Capacity of the executors' always-on recent-firings ring.
+/// Capacity of the executor's always-on recent-firings ring.
 pub(crate) const RECENT_CAP: usize = 64;
 
 /// Orderable wrapper so the overflow heap can hold events (events are not
@@ -129,18 +125,6 @@ impl PortFifos {
         }
     }
 
-    /// Oldest sequence number waiting on port `p`, or `u64::MAX` when the
-    /// FIFO is empty — branch-free form of [`Self::front`] for merge
-    /// arbitration loops.
-    #[inline]
-    pub(crate) fn front_seq_or_max(&self, p: usize) -> u64 {
-        if self.len[p] == 0 {
-            u64::MAX
-        } else {
-            self.slots[p * self.cap + self.head[p] as usize].0
-        }
-    }
-
     /// Pushes `entry` and returns the flat slot index it landed in, so the
     /// critical-path recorder can mirror the ring without duplicating its
     /// head/len state (ring offsets use a conditional subtract, not `%`:
@@ -187,43 +171,6 @@ pub(crate) fn input_classes(g: &Graph, flat: &FlatPorts) -> Vec<VClass> {
         }
     }
     in_class
-}
-
-/// Classifies why a node whose inputs are the flat ports `ins` could not
-/// fire just now, or `None` if it is simply idle: nothing is queued on
-/// any input. Otherwise the first input with neither a sticky source nor
-/// a queued value names the cause by its class; with every input present
-/// the node is blocked on output space. Attribution by the first missing
-/// port is an approximation for variadic joins, exact for fixed-arity
-/// operators. One pass over the node's contiguous input range, shared by
-/// both backends and by profiling and waveform capture. Nodes whose
-/// inputs are all sticky (sticky nodes themselves, and entry operations
-/// that fire once) need no special case: a sticky producer never fires,
-/// so its consumers' FIFOs stay empty and they classify as idle.
-pub(crate) fn classify_stall(
-    ins: Range<usize>,
-    fifos: &PortFifos,
-    in_sticky: &[Option<i64>],
-    in_class: &[VClass],
-) -> Option<StallCause> {
-    let mut queued = false;
-    let mut missing = None;
-    for fp in ins {
-        if !fifos.is_empty(fp) {
-            queued = true;
-        } else if missing.is_none() && in_sticky[fp].is_none() {
-            missing = Some(fp);
-        }
-    }
-    if !queued {
-        return None;
-    }
-    Some(match missing.map(|fp| in_class[fp]) {
-        Some(VClass::Data) => StallCause::DataInput,
-        Some(VClass::Pred) => StallCause::PredInput,
-        Some(VClass::Token) => StallCause::TokenInput,
-        None => StallCause::OutputSpace,
-    })
 }
 
 /// Calendar-bucket ring size, in cycles. Covers every ALU latency and the

@@ -1,1101 +1,635 @@
-//! The compiled backend: executes a [`LoweredProgram`] instead of
-//! interpreting the `Graph`.
+//! Cycle-accurate waveform capture: one time-ordered change log fed by
+//! the executor's delivery/fire hooks, decoded lazily into per-signal
+//! views and exportable as VCD.
 //!
-//! Execution proceeds in *dataflow waves*: marking a node ready enqueues
-//! it on a FIFO worklist guarded by a ready bitset, and draining the list
-//! fires one breadth-first cascade — every zero-latency consequence of
-//! this cycle's deliveries — before time advances. The event backend
-//! computes the same waves through its dirty queue; here the worklist is
-//! a dense `u32` ring plus one bit per node, and each firing dispatches
-//! on a pre-specialized opcode with its operand slots already resolved to
-//! flat port ids, so the wave loop never touches `Graph`.
+//! # Capture model
 //!
-//! **Equivalence contract**: this executor must be *bit-identical* to
-//! [`crate::exec`] — same ready-queue order, same global sequence-number
-//! assignment, same calendar event queue, same LSQ discipline. Delivery
-//! sequence numbers arbitrate `Merge` nodes, so any reordering would be
-//! observable in cycle counts and results; `tests/backend_equiv.rs` and
-//! the `sim_determinism` goldens pin this. Speed comes from lowering
-//! (static dispatch, dense slot addressing) and from batching
-//! ([`BatchRunner`] amortizes lowering over a sweep), never from
-//! reordering.
+//! When [`SimConfig::waves`](crate::SimConfig) is on, the executor
+//! ([`crate::exec`]) calls into a [`WaveState`] at five hook points:
+//!
+//! - **value** — at delivery, per flat *output* port: recorded only when
+//!   the value differs from the last recorded one (a change list, not a
+//!   sample list);
+//! - **occupancy** — per flat *input* port, on every FIFO push and pop;
+//! - **fire** — per node, the cycle of every successful firing;
+//! - **stall** — per node, transitions of the classified stall cause
+//!   (0 = not stalled, then [`StallCause`] codes), deduplicated;
+//! - **pred** — per node with a predicate input (eta, load, store,
+//!   return), the popped predicate outcome, deduplicated.
+//!
+//! # Log layout
+//!
+//! Every change lands in **one append-only `Vec<u32>`**, in the order the
+//! hooks run. A record starts with a tag word: the kind in the top three
+//! bits, the signal id (flat output port, flat input port or node index)
+//! in the low 29. Output values follow their tag as two words (low, high
+//! half of the `i64`); stall codes and predicate outcomes as one. Fires
+//! and occupancy pushes/pops are the bare tag: depth is not stored but
+//! rebuilt when the log is decoded. The cycle is not stored per record
+//! either — a cycle-marker word (the delta since the previous marker, or
+//! an escape followed by the absolute cycle as two words when the delta
+//! does not fit in 29 bits) is written only when the cycle advances.
+//!
+//! Deduplication reads dense per-signal arrays (last output value, last
+//! stall code, last predicate) instead of the tail of a per-signal list,
+//! so a hook touches one small array and the end of one vector — the
+//! scattered appends into thousands of live vector tails that the capture
+//! used to pay are gone.
+//!
+//! # Views
+//!
+//! [`Wave`] keeps the log as captured. When the run finishes, `changes`
+//! is the log's length less its marker and value words (tallied on the
+//! rare paths that write them) and `signals` is read off the
+//! deduplication arrays — no pass over the log. The per-signal lists
+//! behind [`Wave::out_list`] and friends are decoded on first access, in
+//! one sequential pass cached for the capture's lifetime: a run whose
+//! capture only feeds the `cash-stats-v1` summary never builds them.
+//! Equality compares the decoded views, not the logs: two captures are
+//! equal when every per-signal list is, whatever order different
+//! signals' hooks ran in within a cycle. The VCD is rendered from the
+//! same views (pinned **byte-for-byte** by the goldens in
+//! `tests/waves.rs`).
+//!
+//! The replay debugger positions breakpoints on the log: a [`LogMark`]
+//! taken before a step, and a scan of only the records the step appended.
+//!
+//! # VCD rendering
+//!
+//! [`Wave::to_vcd`] renders through [`obs::vcd::VcdWriter`] with a scope
+//! tree mirroring hyperblocks (`hb0`, `hb1_loop`, …, `global`) and
+//! per-node variables named off [`pegasus::name::node_stem`]:
+//! `<stem>_out<p>` (64-bit value), `<stem>_in<p>_occ` (occupancy, 8 bits
+//! or as wide as the deepest FIFO the capture saw), `<stem>_fire` (32-bit
+//! cumulative fire counter), `<stem>_stall` (3-bit cause code) and
+//! `<stem>_pred` (1-bit). One simulator cycle maps to one `1ns` tick.
 
-use crate::backend::BackendKind;
-use crate::compile::{LoweredProgram, Op, OpCode};
-use crate::critpath::{self, CritState, EdgeClass, NO_REC};
-use crate::exec::{observe, BlockedNode, SimConfig, SimError, SimResult};
-use crate::memory::Machine;
-use crate::profile::{kind_label, NodeProfile, SimProfile, StallCause};
-use crate::sched::{
-    self, Ev, EventQueue, MemRequest, PendingOut, PortFifos, TokenGenState, RECENT_CAP,
-};
-use crate::trace::{Trace, TraceEvent};
-use crate::wavecap::{stall_code, WaveState};
-use pegasus::{Graph, NodeId};
-use std::collections::VecDeque;
+use std::fmt::Write as _;
+use std::sync::OnceLock;
 
-/// Runs a pre-lowered program with the full telemetry wrapper — the
-/// batched entry point. Lower once ([`LoweredProgram::lower`] or
-/// [`BatchRunner::new`]), then call this per run; `graph` must be the
-/// graph the program was lowered from (used only on cold paths:
-/// deadlock reports, profile/critical-path summaries).
-///
-/// # Errors
-///
-/// See [`SimError`].
-pub fn simulate_lowered(
-    prog: &LoweredProgram,
-    graph: &Graph,
-    machine: &mut Machine,
-    args: &[i64],
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    observe(|| run_lowered(prog, graph, machine, args, config))
-}
+use pegasus::{FlatPorts, Graph, NodeId, NodeKind};
 
-/// Raw (un-instrumented) entry point for the compiled backend.
-pub(crate) fn run_lowered(
-    prog: &LoweredProgram,
-    graph: &Graph,
-    machine: &mut Machine,
-    args: &[i64],
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    CompiledExec::new(prog, graph, machine, args, config).and_then(CompiledExec::run)
-}
+use crate::profile::StallCause;
 
-/// A graph lowered once and runnable many times: the struct-of-arrays
-/// batching handle. Independent runs (argument sweeps, memory-system
-/// rows, generator seeds) share one decode of the graph; each `run` gets
-/// fresh dynamic state, so results are identical to per-run lowering.
-pub struct BatchRunner<'g> {
-    g: &'g Graph,
-    prog: LoweredProgram,
-}
-
-impl<'g> BatchRunner<'g> {
-    /// Lowers `g` once, up front.
-    pub fn new(g: &'g Graph) -> BatchRunner<'g> {
-        BatchRunner { g, prog: LoweredProgram::lower(g) }
-    }
-
-    /// One run of the batch, honoring `config.backend`: the compiled
-    /// backend reuses this runner's lowered program; the event backend
-    /// ignores it (there is nothing to amortize) and interprets the
-    /// graph. Either way the result is bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run(
-        &self,
-        machine: &mut Machine,
-        args: &[i64],
-        config: &SimConfig,
-    ) -> Result<SimResult, SimError> {
-        match config.backend {
-            BackendKind::Compiled => simulate_lowered(&self.prog, self.g, machine, args, config),
-            BackendKind::Event => crate::exec::simulate(self.g, machine, args, config),
-        }
-    }
-
-    /// The lowered program (e.g. for disassembly).
-    pub fn program(&self) -> &LoweredProgram {
-        &self.prog
+/// Stall-cause code as stored in stall records: 0 = not stalled.
+pub fn stall_code(cause: Option<StallCause>) -> u8 {
+    match cause {
+        None => 0,
+        Some(StallCause::DataInput) => 1,
+        Some(StallCause::PredInput) => 2,
+        Some(StallCause::TokenInput) => 3,
+        Some(StallCause::LsqPort) => 4,
+        Some(StallCause::OutputSpace) => 5,
     }
 }
 
-/// The compiled-backend executor. Field-for-field mirror of
-/// `exec::Executor`, with the graph/`FlatPorts` pair replaced by the
-/// lowered program (the graph stays only for cold paths).
-struct CompiledExec<'a> {
-    prog: &'a LoweredProgram,
-    /// Cold paths only: deadlock labels, profile/crit summaries.
-    g: &'a Graph,
-    machine: &'a mut Machine,
-    config: &'a SimConfig,
-    fifos: PortFifos,
-    /// Sticky value of each flat input port's source (per run — sticky
-    /// values depend on the arguments and object bases).
-    in_sticky: Vec<Option<i64>>,
-    reserved: Vec<u32>,
-    out_horizon: Vec<u64>,
-    mem_out: Vec<VecDeque<PendingOut>>,
-    sticky: Vec<Option<i64>>,
-    once_only: Vec<bool>,
-    has_fired: Vec<bool>,
-    events: EventQueue,
-    /// The wave worklist: nodes to (re-)examine this cycle, FIFO.
-    ready: VecDeque<u32>,
-    /// Membership bitset for `ready`, one bit per node.
-    ready_bits: Vec<u64>,
-    tokengen: Vec<Option<TokenGenState>>,
-    lsq_queue: VecDeque<MemRequest>,
-    lsq_in_flight: u32,
-    seq: u64,
-    now: u64,
-    fired: u64,
-    deferrals: u64,
-    result: Option<(Option<i64>, u64)>,
-    prof: Option<Vec<NodeProfile>>,
-    stall_since: Vec<Option<(u64, StallCause)>>,
-    trace: Option<Vec<TraceEvent>>,
-    recent: Vec<(u32, u64)>,
-    recent_next: usize,
-    crit_on: bool,
-    crit: CritState,
-    /// Waveform capture, hooked at the same sites as the event backend's
-    /// (`wavecap` module docs): the captures are element-identical, so
-    /// both backends render byte-identical VCD.
-    waves_on: bool,
-    wave: WaveState,
+/// Human label for a stall code (for `cashdbg` and the diagnose tail).
+pub fn stall_label(code: u8) -> &'static str {
+    match code {
+        0 => "ready",
+        1 => "data",
+        2 => "pred",
+        3 => "token",
+        4 => "lsq",
+        5 => "output",
+        _ => "?",
+    }
 }
 
-impl<'a> CompiledExec<'a> {
-    fn new(
-        prog: &'a LoweredProgram,
-        g: &'a Graph,
-        machine: &'a mut Machine,
-        args: &[i64],
-        config: &'a SimConfig,
-    ) -> Result<Self, SimError> {
-        let n = prog.ops.len();
-        let num_in = prog.flat.num_in_ports();
-        let num_out = prog.flat.num_out_ports();
-        // Sticky propagation over the lowered topological order: the same
-        // pass as the event backend's, evaluated against the op table.
-        let mut sticky: Vec<Option<i64>> = vec![None; n];
-        for &id in &prog.topo {
-            let op = &prog.ops[id.index()];
-            let s0 = |p: u32, sticky: &[Option<i64>]| -> Option<i64> {
-                match prog.in_src0[(op.in_base + p) as usize] {
-                    u32::MAX => None,
-                    src => sticky[src as usize],
-                }
-            };
-            let v = match &op.code {
-                OpCode::Const { value } => Some(*value),
-                OpCode::Param { index, ty } => match args.get(*index) {
-                    Some(v) => Some(ty.normalize(*v)),
-                    None => return Err(SimError::MissingArgument { index: *index }),
-                },
-                OpCode::Addr { obj } => Some(machine.obj_base(*obj) as i64),
-                OpCode::Bin { op: b, ty, .. } => match (s0(0, &sticky), s0(1, &sticky)) {
-                    (Some(a), Some(c)) => Some(b.eval(ty, a, c)),
-                    _ => None,
-                },
-                OpCode::Un { op: u, ty } => s0(0, &sticky).map(|a| u.eval(ty, a)),
-                OpCode::Cast { ty } => s0(0, &sticky).map(|a| ty.normalize(a)),
-                OpCode::Mux { ty } => {
-                    let nin = op.nin as usize;
-                    let mut vals = Vec::with_capacity(nin);
-                    for p in 0..nin as u32 {
-                        match s0(p, &sticky) {
-                            Some(v) => vals.push(v),
-                            None => {
-                                vals.clear();
-                                break;
-                            }
-                        }
-                    }
-                    if vals.len() == nin && nin >= 2 {
-                        let mut out = 0i64;
-                        for k in 0..nin / 2 {
-                            if vals[2 * k] != 0 {
-                                out = ty.normalize(vals[2 * k + 1]);
-                            }
-                        }
-                        Some(out)
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            };
-            sticky[id.index()] = v;
-        }
-        let mut once_only = vec![false; n];
-        let mut tokengen: Vec<Option<TokenGenState>> = vec![None; n];
-        for (i, op) in prog.ops.iter().enumerate() {
-            if matches!(op.code, OpCode::Skip) {
-                continue;
-            }
-            if let OpCode::TokenGen { credits } = op.code {
-                tokengen[i] = Some(TokenGenState {
-                    credits: u64::from(credits),
-                    queue: VecDeque::new(),
-                    last_arrival: None,
-                });
-            }
-            if sticky[i].is_some() || op.nin == 0 {
-                continue;
-            }
-            once_only[i] =
-                (0..u32::from(op.nin)).all(|p| match prog.in_src0[(op.in_base + p) as usize] {
-                    u32::MAX => false,
-                    src => sticky[src as usize].is_some(),
-                });
-        }
-        let mut in_sticky: Vec<Option<i64>> = vec![None; num_in];
-        for (fp, s) in in_sticky.iter_mut().enumerate() {
-            if let Some(&src) = prog.in_src0.get(fp) {
-                if src != u32::MAX {
-                    *s = sticky[src as usize];
-                }
-            }
-        }
-        let crit_on = config.critpath;
-        let crit = if crit_on {
-            CritState::new(num_in, config.channel_capacity.max(1), prog.out_class.clone())
-        } else {
-            CritState::new(0, 1, Vec::new())
-        };
-        let mut ex = CompiledExec {
-            prog,
-            g,
-            machine,
-            config,
-            fifos: PortFifos::new(num_in, config.channel_capacity.max(1)),
-            in_sticky,
-            reserved: vec![0; num_in],
-            out_horizon: vec![0; num_out],
-            mem_out: (0..num_out).map(|_| VecDeque::new()).collect(),
-            sticky,
-            once_only,
-            has_fired: vec![false; n],
-            events: EventQueue::new(),
-            ready: VecDeque::new(),
-            ready_bits: vec![0; n.div_ceil(64)],
-            tokengen,
-            lsq_queue: VecDeque::new(),
-            lsq_in_flight: 0,
-            seq: 0,
-            now: 0,
-            fired: 0,
-            deferrals: 0,
-            result: None,
-            prof: config.profile.then(|| vec![NodeProfile::default(); n]),
-            stall_since: if config.profile { vec![None; n] } else { Vec::new() },
-            trace: config.trace.then(Vec::new),
-            recent: Vec::with_capacity(RECENT_CAP),
-            recent_next: 0,
-            crit_on,
-            crit,
-            waves_on: config.waves,
-            wave: if config.waves { WaveState::new(num_out, num_in, n) } else { WaveState::off() },
-        };
-        // Kick off, in node order like the event backend: initial tokens
-        // deliver at cycle 0; everything else joins the first wave.
-        for i in 0..n {
-            match ex.prog.ops[i].code {
-                OpCode::Skip => {}
-                OpCode::InitialToken => {
-                    let fire = if ex.crit_on {
-                        ex.crit.push_rec(i as u32, NO_REC, EdgeClass::Token, 0)
-                    } else {
-                        NO_REC
-                    };
-                    ex.push_event(
-                        0,
-                        Ev::Deliver { node: NodeId(i as u32), port: 0, value: 1, fire },
-                    )
-                }
-                _ => ex.mark_ready(i as u32),
-            }
-        }
-        Ok(ex)
+/// Tag word layout: kind above `KIND_SHIFT`, signal id (or cycle delta)
+/// below.
+const KIND_SHIFT: u32 = 29;
+pub(crate) const ID_MASK: u32 = (1 << KIND_SHIFT) - 1;
+const OUT: u32 = 0;
+const PUSH: u32 = 1;
+const POP: u32 = 2;
+const FIRE: u32 = 3;
+const STALL: u32 = 4;
+const PRED: u32 = 5;
+const CYCLE: u32 = 6;
+/// `last_pred` before a node's first predicate: matches neither outcome.
+const NO_PRED: u8 = 2;
+
+/// One decoded change record; ids are flat output ports (`Out`), flat
+/// input ports (`Push`, `Pop`) or node indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rec {
+    Out(usize, i64),
+    Push(usize),
+    Pop(usize),
+    Fire(usize),
+    Stall(usize, u8),
+    Pred(usize, u8),
+}
+
+/// Signal counts of a capture's geometry: flat output ports, flat input
+/// ports, nodes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Dims {
+    outs: usize,
+    ins: usize,
+    nodes: usize,
+}
+
+/// A position in a change log: word offset plus the cycle in force there.
+/// Taken before a replay step so the breakpoint scan sees only what the
+/// step appended.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LogMark {
+    pos: usize,
+    t: u64,
+}
+
+/// Sequential decoder over a log suffix, yielding `(cycle, record)`.
+#[derive(Debug, Clone)]
+pub(crate) struct Records<'a> {
+    log: &'a [u32],
+    pos: usize,
+    t: u64,
+}
+
+impl<'a> Records<'a> {
+    fn new(log: &'a [u32], from: LogMark) -> Records<'a> {
+        Records { log, pos: from.pos, t: from.t }
     }
 
-    fn push_event(&mut self, t: u64, ev: Ev) {
-        self.seq += 1;
-        self.events.push(t, self.seq, ev);
+    fn word(&mut self) -> u32 {
+        let w = self.log[self.pos];
+        self.pos += 1;
+        w
     }
 
-    /// Enqueues node `i` on the wave worklist unless its ready bit is
-    /// already set. Same FIFO discipline as the event backend's dirty
-    /// queue — order is observable through merge arbitration.
-    #[inline]
-    fn mark_ready(&mut self, i: u32) {
-        let (w, b) = ((i >> 6) as usize, i & 63);
-        if self.ready_bits[w] & (1 << b) == 0 {
-            self.ready_bits[w] |= 1 << b;
-            self.ready.push_back(i);
-        }
+    fn wide(&mut self) -> u64 {
+        let lo = u64::from(self.word());
+        lo | u64::from(self.word()) << 32
     }
+}
 
-    fn run(mut self) -> Result<SimResult, SimError> {
+impl Iterator for Records<'_> {
+    type Item = (u64, Rec);
+
+    fn next(&mut self) -> Option<(u64, Rec)> {
         loop {
-            match self.step_once() {
-                Ok(Some(r)) => return Ok(r),
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
+            let w = *self.log.get(self.pos)?;
+            self.pos += 1;
+            let id = (w & ID_MASK) as usize;
+            let rec = match w >> KIND_SHIFT {
+                OUT => Rec::Out(id, self.wide() as i64),
+                PUSH => Rec::Push(id),
+                POP => Rec::Pop(id),
+                FIRE => Rec::Fire(id),
+                STALL => Rec::Stall(id, self.word() as u8),
+                PRED => Rec::Pred(id, self.word() as u8),
+                _ => {
+                    self.t = if w & ID_MASK == ID_MASK {
+                        self.wide()
+                    } else {
+                        self.t + u64::from(w & ID_MASK)
+                    };
+                    continue;
+                }
+            };
+            return Some((self.t, rec));
         }
     }
+}
 
-    /// One scheduler round: deliveries, LSQ issue, one firing wave, time
-    /// advance. Mirrors `exec::Executor::step_once` exactly.
-    fn step_once(&mut self) -> Result<Option<SimResult>, SimError> {
-        let due = self.events.take_due(self.now);
-        for &(_, _, ev) in &due {
-            match ev {
-                Ev::Deliver { node, port, value, fire } => {
-                    let oid = self.prog.ops[node.index()].out_base + u32::from(port);
-                    self.deliver(oid, value, fire)
-                }
-                Ev::LsqRelease { level } => {
-                    self.lsq_in_flight -= 1;
-                    if self.crit_on {
-                        self.crit.timeline.release(self.now, level);
+/// The per-signal lists decoded from a log, indexed like the accessors.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Views {
+    out: Vec<Vec<(u64, i64)>>,
+    occ: Vec<Vec<(u64, u16)>>,
+    fire: Vec<Vec<u64>>,
+    stall: Vec<Vec<(u64, u8)>>,
+    pred: Vec<Vec<(u64, u8)>>,
+    /// Deepest FIFO occupancy anywhere in the capture.
+    max_occ: u16,
+}
+
+/// A completed waveform capture: the change log plus lazily decoded
+/// per-signal views (see the module docs).
+///
+/// Indices follow the simulator's dense port numbering: value lists by
+/// flat output-port id, occupancy lists by flat input-port id, the rest
+/// by node index. Accessors return an empty slice for out-of-range
+/// indices so callers need not special-case waves-off results.
+#[derive(Debug, Clone, Default)]
+pub struct Wave {
+    log: Vec<u32>,
+    dims: Dims,
+    cycles: u64,
+    changes: u64,
+    signals: usize,
+    views: OnceLock<Views>,
+}
+
+impl PartialEq for Wave {
+    fn eq(&self, other: &Wave) -> bool {
+        self.cycles == other.cycles
+            && self.changes == other.changes
+            && self.signals == other.signals
+            && self.views() == other.views()
+    }
+}
+
+impl Wave {
+    fn views(&self) -> &Views {
+        self.views.get_or_init(|| {
+            let d = self.dims;
+            let mut v = Views {
+                out: vec![Vec::new(); d.outs],
+                occ: vec![Vec::new(); d.ins],
+                fire: vec![Vec::new(); d.nodes],
+                stall: vec![Vec::new(); d.nodes],
+                pred: vec![Vec::new(); d.nodes],
+                max_occ: 0,
+            };
+            let mut depth = vec![0u16; d.ins];
+            for (t, r) in self.records_since(LogMark::default()) {
+                match r {
+                    Rec::Out(i, x) => v.out[i].push((t, x)),
+                    Rec::Push(i) => {
+                        depth[i] = depth[i].saturating_add(1);
+                        v.max_occ = v.max_occ.max(depth[i]);
+                        v.occ[i].push((t, depth[i]));
                     }
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.push(TraceEvent::Lsq {
-                            cycle: self.now,
-                            in_flight: self.lsq_in_flight,
-                            queued: self.lsq_queue.len() as u32,
-                        });
+                    Rec::Pop(i) => {
+                        depth[i] = depth[i].saturating_sub(1);
+                        v.occ[i].push((t, depth[i]));
                     }
+                    Rec::Fire(i) => v.fire[i].push(t),
+                    Rec::Stall(i, c) => v.stall[i].push((t, c)),
+                    Rec::Pred(i, p) => v.pred[i].push((t, p)),
                 }
             }
-        }
-        self.events.recycle(due);
-        self.lsq_issue();
-        // Drain the wave: breadth-first over the ready worklist, with the
-        // same spin guard as the event backend.
-        let mut steps = 0usize;
-        let step_cap = 64 * self.prog.ops.len() + 1024;
-        while let Some(i) = self.ready.pop_front() {
-            self.ready_bits[(i >> 6) as usize] &= !(1 << (i & 63));
-            self.try_fire(i);
-            if self.result.is_some() {
-                break;
-            }
-            steps += 1;
-            if steps > step_cap {
-                self.deferrals += 1;
-                break;
-            }
-        }
-        if let Some((ret, cycles)) = self.result {
-            return Ok(Some(self.finish(ret, cycles)));
-        }
-        let busy = !self.ready.is_empty() || !self.lsq_queue.is_empty();
-        let next = if busy {
-            self.now + 1
-        } else {
-            match self.events.next_time() {
-                Some(t) => t.max(self.now + 1),
-                None => {
-                    return Err(SimError::Deadlock {
-                        cycle: self.now,
-                        blocked: self.blocked_nodes(),
-                    })
-                }
-            }
-        };
-        if next > self.config.max_cycles {
-            return Err(SimError::MaxCycles { limit: self.config.max_cycles });
-        }
-        self.now = next;
-        Ok(None)
+            v
+        })
     }
 
-    /// Pushes `value` into the FIFO of every consumer of flat output
-    /// `oid`, assigning the delivery's global sequence number.
-    fn deliver(&mut self, oid: u32, value: i64, fire: u32) {
-        self.seq += 1;
-        let seq = self.seq;
-        let crit_class = if self.crit_on {
-            EdgeClass::from_u8(self.prog.out_class[oid as usize])
-        } else {
-            EdgeClass::Data
-        };
-        if self.waves_on {
-            self.wave.record_out(oid as usize, self.now, value);
-        }
-        let (start, end) = self.prog.flat.consumer_range_of(oid);
-        for i in start..end {
-            let u = self.prog.flat.consumer_at(i);
-            let r = &mut self.reserved[u.dst_flat as usize];
-            if *r > 0 {
-                *r -= 1;
-            }
-            let at = self.fifos.push_back(u.dst_flat as usize, (seq, value));
-            if self.crit_on {
-                self.crit.channel_push(at, fire, self.now, crit_class);
-            }
-            if self.waves_on {
-                self.wave.record_occ_push(u.dst_flat as usize, self.now);
-            }
-            self.mark_ready(u.dst.0);
-        }
+    /// The records appended since `from`, oldest first.
+    pub(crate) fn records_since(&self, from: LogMark) -> Records<'_> {
+        Records::new(&self.log, from)
     }
 
-    #[inline]
-    fn avail(&self, fp: usize) -> bool {
-        self.in_sticky[fp].is_some() || !self.fifos.is_empty(fp)
+    /// Total change records across all signals.
+    pub fn num_changes(&self) -> u64 {
+        self.changes
     }
 
-    #[inline]
-    fn front_seq(&self, fp: usize) -> Option<u64> {
-        self.fifos.front(fp).map(|(s, _)| s)
+    /// Number of signals that recorded at least one change.
+    pub fn num_signals(&self) -> usize {
+        self.signals
     }
 
-    /// Pops flat input `fp` (no-op for sticky inputs), waking the
-    /// producer on a full→non-full transition.
-    fn pop_input(&mut self, fp: usize) -> i64 {
-        if let Some(v) = self.in_sticky[fp] {
-            return v;
-        }
-        let was_full =
-            self.fifos.len(fp) + self.reserved[fp] as usize >= self.config.channel_capacity;
-        let ((_, v), at) = self.fifos.pop_front(fp).expect("pop of available input");
-        if self.crit_on {
-            self.crit.pop_and_offer(at);
-        }
-        if self.waves_on {
-            self.wave.record_occ_pop(fp, self.now);
-        }
-        if was_full {
-            self.mark_ready(self.prog.in_src[fp]);
-        }
-        v
+    /// Size of the change log in bytes.
+    pub fn log_bytes(&self) -> usize {
+        self.log.len() * std::mem::size_of::<u32>()
     }
 
-    /// Do all consumers of flat output `oid` have space for one value?
-    fn space_for(&self, oid: u32) -> bool {
-        for u in self.prog.flat.consumers_of(oid) {
-            let len = self.fifos.len(u.dst_flat as usize);
-            let res = self.reserved[u.dst_flat as usize] as usize;
-            if len + res >= self.config.channel_capacity {
-                return false;
-            }
-        }
-        true
+    /// Final simulated cycle of the capture.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
     }
 
-    fn reserve(&mut self, oid: u32) {
-        let (start, end) = self.prog.flat.consumer_range_of(oid);
-        for i in start..end {
-            let u = self.prog.flat.consumer_at(i);
-            self.reserved[u.dst_flat as usize] += 1;
-        }
+    /// Value changes of a flat output port: `(cycle, value)`.
+    pub fn out_list(&self, oid: usize) -> &[(u64, i64)] {
+        self.views().out.get(oid).map_or(&[], |v| v)
     }
 
-    #[inline]
-    fn crit_fire_rec(&mut self) -> u32 {
-        if self.crit_on {
-            self.crit.fire_rec(self.now)
-        } else {
-            NO_REC
-        }
+    /// Occupancy changes of a flat input port: `(cycle, depth)`.
+    pub fn occ_list(&self, fp: usize) -> &[(u64, u16)] {
+        self.views().occ.get(fp).map_or(&[], |v| v)
     }
 
-    #[inline]
-    fn crit_grant_rec(&mut self, i: u32) -> u32 {
-        if !self.crit_on {
-            return NO_REC;
-        }
-        if self.crit.best().is_none() {
-            if let Some(b) = self.tokengen[i as usize].as_ref().and_then(|st| st.last_arrival) {
-                self.crit.seed_best(b);
-            }
-        }
-        let r = self.crit.fire_rec(self.now);
-        self.crit.begin_fire(i);
-        r
+    /// Cycles at which a node fired.
+    pub fn fire_list(&self, node: usize) -> &[u64] {
+        self.views().fire.get(node).map_or(&[], |v| v)
     }
 
-    fn emit_now(&mut self, oid: u32, value: i64, fire: u32) {
-        self.deliver(oid, value, fire);
+    /// Stall-state transitions of a node: `(cycle, code)`, see
+    /// [`stall_code`].
+    pub fn stall_list(&self, node: usize) -> &[(u64, u8)] {
+        self.views().stall.get(node).map_or(&[], |v| v)
     }
 
-    fn emit_later(&mut self, id: u32, port: u16, value: i64, lat: u64, fire: u32) {
-        let oid = self.prog.ops[id as usize].out_base + u32::from(port);
-        self.reserve(oid);
-        self.push_event(self.now + lat, Ev::Deliver { node: NodeId(id), port, value, fire });
+    /// Predicate outcomes popped by a node: `(cycle, 0|1)`, deduplicated.
+    pub fn pred_list(&self, node: usize) -> &[(u64, u8)] {
+        self.views().pred.get(node).map_or(&[], |v| v)
     }
 
-    /// Schedules a delivery no earlier than any previously scheduled
-    /// delivery on the same output port (in-order channels).
-    fn emit_ordered(&mut self, id: u32, port: u16, value: i64, t: u64, fire: u32) {
-        let oid = self.prog.ops[id as usize].out_base + u32::from(port);
-        let h = &mut self.out_horizon[oid as usize];
-        let t2 = t.max(*h);
-        *h = t2;
-        self.push_event(t2, Ev::Deliver { node: NodeId(id), port, value, fire });
-    }
-
-    /// Nullified-memory-output emission: instant unless real requests are
-    /// outstanding on this port (see `exec::Executor::emit_mem_or_defer`).
-    fn emit_mem_or_defer(&mut self, id: u32, port: u16, value: i64, fire: u32) {
-        let oid = self.prog.ops[id as usize].out_base + u32::from(port);
-        if self.mem_out[oid as usize].is_empty() {
-            self.emit_ordered(id, port, value, self.now, fire);
-        } else {
-            self.mem_out[oid as usize].push_back(PendingOut::Null(value, fire));
-        }
-    }
-
-    fn expect_mem_result(&mut self, id: u32, port: u16) {
-        let oid = self.prog.ops[id as usize].out_base + u32::from(port);
-        self.mem_out[oid as usize].push_back(PendingOut::Real);
-    }
-
-    fn complete_mem(&mut self, id: u32, port: u16, value: i64, t: u64, fire: u32) {
-        let oid = (self.prog.ops[id as usize].out_base + u32::from(port)) as usize;
-        let front = self.mem_out[oid].pop_front();
-        debug_assert!(matches!(front, Some(PendingOut::Real)), "slot order broken");
-        self.emit_ordered(id, port, value, t, fire);
-        while let Some(&PendingOut::Null(v, f)) = self.mem_out[oid].front() {
-            self.mem_out[oid].pop_front();
-            self.emit_ordered(id, port, v, self.now, f);
-        }
-    }
-
-    fn finish(&mut self, ret: Option<i64>, cycles: u64) -> SimResult {
-        let profile = self.prof.take().map(|mut nodes| {
-            for (i, open) in self.stall_since.iter_mut().enumerate() {
-                if let Some((start, cause)) = open.take() {
-                    nodes[i].add_stall(cause, cycles.saturating_sub(start));
-                }
-            }
-            SimProfile { nodes, cycles }
-        });
-        let trace = self.trace.take().map(|events| Trace { events });
-        let crit = self.crit_on.then(|| {
-            self.crit.timeline.finish(cycles);
-            critpath::summarize(&self.crit, self.g)
-        });
-        let waves = self.waves_on.then(|| std::mem::take(&mut self.wave).into_wave(cycles));
-        SimResult {
-            ret,
-            cycles,
-            stats: self.machine.stats.clone(),
-            fired: self.fired,
-            deferrals: self.deferrals,
-            wall_us: 0, // stamped by the public entry points
-            backend: BackendKind::Compiled.label(),
-            profile,
-            trace,
-            crit,
-            waves,
-        }
-    }
-
-    /// Deadlock report (cold path — allowed to consult the graph for
-    /// labels and hyperblock ids).
-    fn blocked_nodes(&self) -> Vec<BlockedNode> {
-        let mut out = Vec::new();
-        for (i, op) in self.prog.ops.iter().enumerate() {
-            if matches!(op.code, OpCode::Skip)
-                || self.sticky[i].is_some()
-                || (self.once_only[i] && self.has_fired[i])
-            {
-                continue;
-            }
-            let nin = op.nin;
-            if nin == 0 {
-                continue;
-            }
-            let mut have = Vec::new();
-            let mut missing = Vec::new();
-            let mut queued = false;
-            for p in 0..nin {
-                let fp = (op.in_base + u32::from(p)) as usize;
-                if self.avail(fp) {
-                    have.push(p);
-                    queued |= !self.fifos.is_empty(fp);
-                } else {
-                    missing.push((p, self.prog.in_class[fp]));
-                }
-            }
-            if (!have.is_empty() && !missing.is_empty()) || (missing.is_empty() && queued) {
-                let id = NodeId(i as u32);
-                out.push(BlockedNode {
-                    node: id,
-                    op: kind_label(self.g.kind(id)),
-                    hb: self.g.hb(id),
-                    have,
-                    missing,
-                });
-            }
-        }
-        out
-    }
-
-    /// Stall attribution — the event backend's rule
-    /// ([`sched::classify_stall`]) over the lowered tables.
-    fn classify_stall(&self, i: u32) -> Option<StallCause> {
-        let op = &self.prog.ops[i as usize];
-        let start = op.in_base as usize;
-        sched::classify_stall(
-            start..start + usize::from(op.nin),
-            &self.fifos,
-            &self.in_sticky,
-            &self.prog.in_class,
+    /// The `"waves"` section of `cash-stats-v1` (stable key order, no
+    /// whitespace).
+    pub fn summary_json(&self) -> String {
+        format!(
+            "{{\"signals\":{},\"changes\":{},\"cycles\":{}}}",
+            self.signals, self.changes, self.cycles
         )
     }
 
-    fn note_fire(&mut self, i: u32) {
-        let now = self.now;
-        let prof = self.prof.as_mut().expect("note_fire only when profiling");
-        let p = &mut prof[i as usize];
-        p.fires += 1;
-        if p.first_fire.is_none() {
-            p.first_fire = Some(now);
+    /// Renders the capture as a byte-stable VCD document for `g` — the
+    /// graph this capture was recorded against.
+    pub fn to_vcd(&self, g: &Graph) -> String {
+        let flat = FlatPorts::new(g);
+        let views = self.views();
+        // Occupancy is declared 8 bits wide unless a deeper FIFO was seen:
+        // the writer masks values to the declared width.
+        let occ_bits = (u16::BITS - views.max_occ.leading_zeros()).max(8);
+        let mut w = obs::vcd::VcdWriter::new("cash-wavecap-v1", "1ns");
+        // (list kind, list index, var) triples gathered during declaration
+        // so the change pass replays them in declaration order — ties at
+        // the same timestamp then resolve identically on every render.
+        let mut emits: Vec<(u8, usize, obs::vcd::VarId)> = Vec::new();
+        w.scope("cash");
+        for (scope, nodes) in pegasus::name::scoped_nodes(g) {
+            w.scope(&scope);
+            for id in nodes {
+                let stem = pegasus::name::node_stem(g, id);
+                let kind = g.kind(id);
+                for p in 0..kind.num_outputs() {
+                    let v = w.var(&format!("{stem}_out{p}"), 64);
+                    emits.push((0, flat.out_id(id, p) as usize, v));
+                }
+                for p in 0..g.num_inputs(id) as u16 {
+                    let v = w.var(&format!("{stem}_in{p}_occ"), occ_bits);
+                    emits.push((1, flat.in_id(id, p) as usize, v));
+                }
+                let v = w.var(&format!("{stem}_fire"), 32);
+                emits.push((2, id.index(), v));
+                let v = w.var(&format!("{stem}_stall"), 3);
+                emits.push((3, id.index(), v));
+                if matches!(
+                    kind,
+                    NodeKind::Eta { .. }
+                        | NodeKind::Load { .. }
+                        | NodeKind::Store { .. }
+                        | NodeKind::Return { .. }
+                ) {
+                    let v = w.var(&format!("{stem}_pred"), 1);
+                    emits.push((4, id.index(), v));
+                }
+            }
+            w.upscope();
         }
-        p.last_fire = Some(now);
-        if let Some((start, cause)) = self.stall_since[i as usize].take() {
-            p.add_stall(cause, now.saturating_sub(start));
+        w.upscope();
+        for (kind, idx, var) in emits {
+            match kind {
+                0 => {
+                    for &(t, val) in self.out_list(idx) {
+                        w.change(t, var, val as u64);
+                    }
+                }
+                1 => {
+                    for &(t, occ) in self.occ_list(idx) {
+                        w.change(t, var, u64::from(occ));
+                    }
+                }
+                2 => {
+                    for (i, &t) in self.fire_list(idx).iter().enumerate() {
+                        w.change(t, var, i as u64 + 1);
+                    }
+                }
+                3 => {
+                    for &(t, code) in self.stall_list(idx) {
+                        w.change(t, var, u64::from(code));
+                    }
+                }
+                _ => {
+                    for &(t, p) in self.pred_list(idx) {
+                        w.change(t, var, u64::from(p));
+                    }
+                }
+            }
+        }
+        w.render()
+    }
+
+    /// The last-32-cycles activity report appended to deadlock diagnoses:
+    /// for each blocked node, the recent occupancy changes on its input
+    /// ports and the recent value changes on the producing outputs.
+    pub(crate) fn tail_report(
+        &self,
+        g: &Graph,
+        flat: &FlatPorts,
+        blocked: &[NodeId],
+        now: u64,
+        window: u64,
+    ) -> String {
+        let since = now.saturating_sub(window);
+        let mut s = format!("wave tail (cycles {since}..{now}) on blocked inputs:\n");
+        for &id in blocked {
+            for p in 0..g.num_inputs(id) as u16 {
+                let fp = flat.in_id(id, p) as usize;
+                let occ: Vec<_> = self.occ_list(fp).iter().filter(|(t, _)| *t >= since).collect();
+                let Some(input) = g.input(id, p) else { continue };
+                let oid = flat.out_id(input.src.node, input.src.port) as usize;
+                let vals: Vec<_> = self.out_list(oid).iter().filter(|(t, _)| *t >= since).collect();
+                let _ = write!(s, "  {id}.in{p} <- {}.out{}: ", input.src.node, input.src.port);
+                if occ.is_empty() && vals.is_empty() {
+                    s.push_str("quiet\n");
+                    continue;
+                }
+                s.push_str("occ[");
+                for (i, (t, d)) in occ.iter().enumerate() {
+                    let _ = write!(s, "{}c{t}:{d}", if i > 0 { " " } else { "" });
+                }
+                s.push_str("] val[");
+                for (i, (t, v)) in vals.iter().enumerate() {
+                    let _ = write!(s, "{}c{t}:{v}", if i > 0 { " " } else { "" });
+                }
+                s.push_str("]\n");
+            }
+        }
+        s
+    }
+}
+
+/// Per-node recorder state, kept in one element so a firing's fire and
+/// stall hooks touch one cache line.
+#[derive(Debug, Clone, Copy)]
+struct NodeState {
+    /// Last recorded stall code (0 before the first record).
+    stall: u8,
+    /// Last recorded predicate, `NO_PRED` before the first.
+    pred: u8,
+    fired: bool,
+    stalled: bool,
+}
+
+/// The live recorder owned by an executor: the change log plus the dense
+/// deduplication state. Hooks are only reached behind the executor's
+/// single `waves_on` test, so the waves-off cost is one predictable
+/// branch per hook site (gated by the `obs_smoke` noise-floor check).
+///
+/// Besides deduplication, the dense arrays say which signals recorded
+/// anything, so the finished capture's counts need no pass over the log:
+/// a record's length depends on its tag, and a scan that must decode one
+/// record to find the next is a serial chain of dependent loads.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WaveState {
+    log: Vec<u32>,
+    /// Cycle of the last marker written (0 before the first).
+    t: u64,
+    /// Cycle-marker and value words in the log: every other word is a
+    /// record's tag, so the change count needs no per-record work.
+    aux_words: usize,
+    last_out: Vec<Option<i64>>,
+    /// Per flat input port: has it recorded a push? (Every pop follows a
+    /// push on the same port, so this marks every occupancy signal.)
+    pushed: Vec<bool>,
+    node: Vec<NodeState>,
+}
+
+impl WaveState {
+    /// Recorder for the graph's flat geometry.
+    pub(crate) fn new(num_out: usize, num_in: usize, nodes: usize) -> WaveState {
+        assert!(
+            num_out.max(num_in).max(nodes) <= ID_MASK as usize,
+            "graph too large for the wave log's 29-bit signal ids"
+        );
+        WaveState {
+            log: Vec::new(),
+            t: 0,
+            aux_words: 0,
+            last_out: vec![None; num_out],
+            pushed: vec![false; num_in],
+            node: vec![NodeState { stall: 0, pred: NO_PRED, fired: false, stalled: false }; nodes],
         }
     }
 
-    /// Bookkeeping for a failed firing attempt, sharing one stall
-    /// classification: profiling opens a stall window (once) attributed to
-    /// whatever is holding the node up, and waveform capture records the
-    /// stall class.
-    fn note_stall(&mut self, i: u32) {
-        let open = self.prof.is_some() && self.stall_since[i as usize].is_none();
-        if !open && !self.waves_on {
-            return;
+    /// Zero-capacity recorder for waves-off runs; hooks must not be
+    /// reached (they would index out of bounds), matching `CritState`'s
+    /// discipline.
+    pub(crate) fn off() -> WaveState {
+        WaveState::default()
+    }
+
+    /// Appends the tag word of a record at cycle `t`, preceded by a cycle
+    /// marker when the cycle has advanced.
+    #[inline]
+    fn tag(&mut self, t: u64, kind: u32, id: usize) {
+        if t != self.t {
+            self.mark_cycle(t);
         }
-        let cause = self.classify_stall(i);
-        if open {
-            self.stall_since[i as usize] = cause.map(|c| (self.now, c));
+        self.log.push(kind << KIND_SHIFT | id as u32);
+    }
+
+    /// Writes the marker that moves the log to cycle `t`. Once per active
+    /// cycle, so kept out of line: the hooks inline into the executor's
+    /// delivery and pop paths, which stay as small as with waves off.
+    #[inline(never)]
+    fn mark_cycle(&mut self, t: u64) {
+        let delta = t.wrapping_sub(self.t);
+        if delta < u64::from(ID_MASK) {
+            self.log.push(CYCLE << KIND_SHIFT | delta as u32);
+            self.aux_words += 1;
+        } else {
+            self.log.extend_from_slice(&[
+                CYCLE << KIND_SHIFT | ID_MASK,
+                t as u32,
+                (t >> 32) as u32,
+            ]);
+            self.aux_words += 3;
         }
-        if self.waves_on {
-            self.wave.record_stall(i as usize, self.now, stall_code(cause));
+        self.t = t;
+    }
+
+    #[inline]
+    pub(crate) fn record_out(&mut self, oid: usize, t: u64, value: i64) {
+        if self.last_out[oid] != Some(value) {
+            self.last_out[oid] = Some(value);
+            self.tag(t, OUT, oid);
+            self.log.extend_from_slice(&[value as u32, (value as u64 >> 32) as u32]);
+            self.aux_words += 2;
         }
     }
 
-    fn try_fire(&mut self, i: u32) {
-        // At most a few back-to-back firings per visit, like the event
-        // backend, so one node cannot monopolize a wave.
-        for _ in 0..4 {
-            if !self.fire_once(i) {
-                if self.prof.is_some() || self.waves_on {
-                    self.note_stall(i);
-                }
-                return;
-            }
-            self.fired += 1;
-            self.has_fired[i as usize] = true;
-            if self.recent.len() < RECENT_CAP {
-                self.recent.push((i, self.now));
-            } else {
-                self.recent[self.recent_next] = (i, self.now);
-            }
-            self.recent_next = (self.recent_next + 1) % RECENT_CAP;
-            if self.prof.is_some() {
-                self.note_fire(i);
-            }
-            if self.waves_on {
-                self.wave.record_fire(i as usize, self.now);
-                self.wave.record_stall(i as usize, self.now, 0);
-            }
-            if let Some(tr) = self.trace.as_mut() {
-                tr.push(TraceEvent::Fire { node: NodeId(i), cycle: self.now });
-            }
-        }
-        self.mark_ready(i);
+    #[inline]
+    pub(crate) fn record_occ_push(&mut self, fp: usize, t: u64) {
+        self.pushed[fp] = true;
+        self.tag(t, PUSH, fp);
     }
 
-    /// Attempts one firing of op `i`; returns whether it fired. One
-    /// static dispatch on the lowered opcode — no graph access.
-    fn fire_once(&mut self, i: u32) -> bool {
-        if self.sticky[i as usize].is_some() {
-            return false; // sticky nodes never fire dynamically
-        }
-        if self.once_only[i as usize] && self.has_fired[i as usize] {
-            return false; // entry-hyperblock op: one execution only
-        }
-        if self.crit_on {
-            self.crit.begin_fire(i);
-        }
-        // Copy the program reference out of `self` so matching on the op
-        // borrows the lowered program (which outlives this call), not
-        // `self`.
-        let prog = self.prog;
-        let op: &Op = &prog.ops[i as usize];
-        let inb = op.in_base;
-        let outb = op.out_base;
-        match &op.code {
-            OpCode::Skip
-            | OpCode::Const { .. }
-            | OpCode::Param { .. }
-            | OpCode::Addr { .. }
-            | OpCode::InitialToken => false,
-            OpCode::Bin { op: b, ty, lat } => {
-                if !(self.avail(inb as usize)
-                    && self.avail(inb as usize + 1)
-                    && self.space_for(outb))
-                {
-                    return false;
-                }
-                let a = self.pop_input(inb as usize);
-                let c = self.pop_input(inb as usize + 1);
-                let v = b.eval(ty, a, c);
-                let fr = self.crit_fire_rec();
-                self.emit_later(i, 0, v, *lat, fr);
-                true
-            }
-            OpCode::Un { op: u, ty } => {
-                if !(self.avail(inb as usize) && self.space_for(outb)) {
-                    return false;
-                }
-                let a = self.pop_input(inb as usize);
-                let fr = self.crit_fire_rec();
-                self.emit_later(i, 0, u.eval(ty, a), 1, fr);
-                true
-            }
-            OpCode::Cast { ty } => {
-                if !(self.avail(inb as usize) && self.space_for(outb)) {
-                    return false;
-                }
-                let a = self.pop_input(inb as usize);
-                let fr = self.crit_fire_rec();
-                self.emit_now(outb, ty.normalize(a), fr);
-                true
-            }
-            OpCode::Mux { ty } => {
-                let nin = op.nin as usize;
-                for p in 0..nin {
-                    if !self.avail(inb as usize + p) {
-                        return false;
-                    }
-                }
-                if !self.space_for(outb) {
-                    return false;
-                }
-                // Exactly one predicate is true in a well-formed program;
-                // the last true one wins otherwise.
-                let mut out = 0i64;
-                for k in 0..nin / 2 {
-                    let p = self.pop_input(inb as usize + 2 * k);
-                    let v = self.pop_input(inb as usize + 2 * k + 1);
-                    if p != 0 {
-                        out = ty.normalize(v);
-                    }
-                }
-                let fr = self.crit_fire_rec();
-                self.emit_now(outb, out, fr);
-                true
-            }
-            OpCode::Merge => {
-                if !self.space_for(outb) {
-                    return false;
-                }
-                // Pop the globally oldest waiting input. Strictly smaller
-                // wins, first port wins ties — same as the event backend.
-                let nin = op.nin as usize;
-                let mut best_seq = u64::MAX;
-                let mut best_p = usize::MAX;
-                for p in 0..nin {
-                    let s = self.fifos.front_seq_or_max(inb as usize + p);
-                    if s < best_seq {
-                        best_seq = s;
-                        best_p = p;
-                    }
-                }
-                if best_p == usize::MAX {
-                    return false;
-                }
-                let v = self.pop_input(inb as usize + best_p);
-                let fr = self.crit_fire_rec();
-                self.emit_now(outb, v, fr);
-                true
-            }
-            OpCode::Eta => {
-                if !(self.avail(inb as usize)
-                    && self.avail(inb as usize + 1)
-                    && self.space_for(outb))
-                {
-                    return false;
-                }
-                let v = self.pop_input(inb as usize);
-                let p = self.pop_input(inb as usize + 1);
-                if self.waves_on {
-                    self.wave.record_pred(i as usize, self.now, p != 0);
-                }
-                if p != 0 {
-                    let fr = self.crit_fire_rec();
-                    self.emit_now(outb, v, fr);
-                }
-                true
-            }
-            OpCode::Combine => {
-                let nin = op.nin as usize;
-                for p in 0..nin {
-                    if !self.avail(inb as usize + p) {
-                        return false;
-                    }
-                }
-                if !self.space_for(outb) {
-                    return false;
-                }
-                for p in 0..nin {
-                    self.pop_input(inb as usize + p);
-                }
-                let fr = self.crit_fire_rec();
-                self.emit_now(outb, 1, fr);
-                true
-            }
-            OpCode::TokenGen { .. } => self.fire_tokengen(i),
-            OpCode::Load { .. } => {
-                if !(self.avail(inb as usize)
-                    && self.avail(inb as usize + 1)
-                    && self.avail(inb as usize + 2)
-                    && self.space_for(outb)
-                    && self.space_for(outb + 1))
-                {
-                    return false;
-                }
-                let addr = self.pop_input(inb as usize) as u64;
-                let pred = self.pop_input(inb as usize + 1);
-                self.pop_input(inb as usize + 2); // token
-                if self.waves_on {
-                    self.wave.record_pred(i as usize, self.now, pred != 0);
-                }
-                let fr = self.crit_fire_rec();
-                self.reserve(outb);
-                self.reserve(outb + 1);
-                if pred == 0 {
-                    // Nullified: arbitrary value, instant token (§3.1) —
-                    // but never overtaking earlier in-flight results.
-                    self.emit_mem_or_defer(i, 0, 0, fr);
-                    self.emit_mem_or_defer(i, 1, 1, fr);
-                } else {
-                    self.expect_mem_result(i, 0);
-                    self.expect_mem_result(i, 1);
-                    self.lsq_queue.push_back(MemRequest {
-                        node: NodeId(i),
-                        addr,
-                        value: 0,
-                        is_store: false,
-                        enqueued: self.now,
-                        fire: fr,
-                    });
-                }
-                true
-            }
-            OpCode::Store { .. } => {
-                if !(self.avail(inb as usize)
-                    && self.avail(inb as usize + 1)
-                    && self.avail(inb as usize + 2)
-                    && self.avail(inb as usize + 3)
-                    && self.space_for(outb))
-                {
-                    return false;
-                }
-                let addr = self.pop_input(inb as usize) as u64;
-                let value = self.pop_input(inb as usize + 1);
-                let pred = self.pop_input(inb as usize + 2);
-                self.pop_input(inb as usize + 3); // token
-                if self.waves_on {
-                    self.wave.record_pred(i as usize, self.now, pred != 0);
-                }
-                let fr = self.crit_fire_rec();
-                self.reserve(outb);
-                if pred == 0 {
-                    self.emit_mem_or_defer(i, 0, 1, fr);
-                } else {
-                    self.expect_mem_result(i, 0);
-                    self.lsq_queue.push_back(MemRequest {
-                        node: NodeId(i),
-                        addr,
-                        value,
-                        is_store: true,
-                        enqueued: self.now,
-                        fire: fr,
-                    });
-                }
-                true
-            }
-            OpCode::Ret { has_value } => {
-                let has_value = *has_value;
-                let need = if has_value { 3 } else { 2 };
-                for p in 0..need {
-                    if !self.avail(inb as usize + p) {
-                        return false;
-                    }
-                }
-                let pred = self.pop_input(inb as usize);
-                self.pop_input(inb as usize + 1);
-                let v = if has_value { Some(self.pop_input(inb as usize + 2)) } else { None };
-                if self.waves_on {
-                    self.wave.record_pred(i as usize, self.now, pred != 0);
-                }
-                if pred != 0 {
-                    if self.crit_on {
-                        let fr = self.crit.fire_rec(self.now);
-                        self.crit.ret_rec = Some(fr);
-                    }
-                    self.result = Some((if has_value { v } else { None }, self.now));
-                }
-                true
-            }
+    #[inline]
+    pub(crate) fn record_occ_pop(&mut self, fp: usize, t: u64) {
+        self.tag(t, POP, fp);
+    }
+
+    #[inline]
+    pub(crate) fn record_fire(&mut self, node: usize, t: u64) {
+        self.node[node].fired = true;
+        self.tag(t, FIRE, node);
+    }
+
+    #[inline]
+    pub(crate) fn record_stall(&mut self, node: usize, t: u64, code: u8) {
+        let n = &mut self.node[node];
+        if n.stall != code {
+            n.stall = code;
+            n.stalled = true;
+            self.tag(t, STALL, node);
+            self.log.push(u32::from(code));
+            self.aux_words += 1;
         }
     }
 
-    fn fire_tokengen(&mut self, i: u32) -> bool {
-        let inb = self.prog.ops[i as usize].in_base as usize;
-        let outb = self.prog.ops[i as usize].out_base;
-        let mut progressed = false;
-        // Absorb every available input in arrival order: predicates queue
-        // up for grants, returned tokens add credits.
-        loop {
-            let pred_seq = self.front_seq(inb);
-            let tok_seq = self.front_seq(inb + 1);
-            let pick = match (pred_seq, tok_seq) {
-                (None, None) => break,
-                (Some(_), None) => 0u16,
-                (None, Some(_)) => 1u16,
-                (Some(a), Some(b)) => {
-                    if a < b {
-                        0
-                    } else {
-                        1
-                    }
-                }
-            };
-            if pick == 0 {
-                let p = self.pop_input(inb);
-                let st = self.tokengen[i as usize].as_mut().expect("tokengen state");
-                st.queue.push_back(p != 0);
-            } else {
-                self.pop_input(inb + 1);
-                let st = self.tokengen[i as usize].as_mut().expect("tokengen state");
-                st.credits += 1;
-            }
-            progressed = true;
+    #[inline]
+    pub(crate) fn record_pred(&mut self, node: usize, t: u64, pred: bool) {
+        let p = u8::from(pred);
+        let n = &mut self.node[node];
+        if n.pred != p {
+            n.pred = p;
+            self.tag(t, PRED, node);
+            self.log.push(u32::from(p));
+            self.aux_words += 1;
         }
-        // Remember the newest absorb so credit-banked grants in later
-        // calls still chain into the path instead of becoming roots.
-        if self.crit_on {
-            if let Some(b) = self.crit.best() {
-                if let Some(st) = self.tokengen[i as usize].as_mut() {
-                    st.last_arrival = Some(b);
-                }
-            }
-        }
-        // Emit grants in order while credits (or free exit grants) allow
-        // and the consumers have space.
-        loop {
-            let st = self.tokengen[i as usize].as_mut().expect("tokengen state");
-            let Some(&needs_credit) = st.queue.front() else { break };
-            if needs_credit && st.credits == 0 {
-                break;
-            }
-            if !self.space_for(outb) {
-                break;
-            }
-            let st = self.tokengen[i as usize].as_mut().expect("tokengen state");
-            if needs_credit {
-                st.credits -= 1;
-            }
-            st.queue.pop_front();
-            let fr = self.crit_grant_rec(i);
-            self.emit_now(outb, 1, fr);
-            progressed = true;
-        }
-        progressed
     }
 
-    /// Issues queued memory requests subject to ports and LSQ size.
-    fn lsq_issue(&mut self) {
-        let prog = self.prog;
-        let mut issued = 0;
-        while issued < self.config.lsq_ports
-            && self.lsq_in_flight < self.config.lsq_size
-            && !self.lsq_queue.is_empty()
-        {
-            let req = self.lsq_queue.pop_front().expect("nonempty queue");
-            let snap = (
-                self.machine.stats.l1_misses,
-                self.machine.stats.l2_misses,
-                self.machine.stats.tlb_misses,
-            );
-            let lat = self.machine.access_cycles(req.addr, req.is_store);
-            // Where in the hierarchy did the access land? Recovered from
-            // the stats delta: 0 = L1 (or perfect memory), 1 = L2,
-            // 2 = DRAM. A TLB miss counts as a miss at its level.
-            let missed =
-                self.machine.stats.l1_misses != snap.0 || self.machine.stats.tlb_misses != snap.2;
-            let level: u8 = if self.machine.stats.l1_misses == snap.0 {
-                0
-            } else if self.machine.stats.l2_misses == snap.1 {
-                1
-            } else {
-                2
-            };
-            if let Some(prof) = self.prof.as_mut() {
-                // Port contention: cycles the request sat queued.
-                prof[req.node.index()]
-                    .add_stall(StallCause::LsqPort, self.now.saturating_sub(req.enqueued));
-            }
-            // An LSQ-order self-edge when the request sat queued behind
-            // ports/occupancy: the wait is the LSQ's fault, not the input's.
-            let mut fire = req.fire;
-            if self.crit_on {
-                self.crit.timeline.issue(self.now, level);
-                if self.now > req.enqueued {
-                    fire = self.crit.push_rec(req.node.0, fire, EdgeClass::LsqOrder, self.now);
-                }
-            }
-            if req.is_store {
-                let ty = match &prog.ops[req.node.index()].code {
-                    OpCode::Store { ty } => ty,
-                    _ => unreachable!("store request from non-store"),
-                };
-                self.machine.store(req.addr, ty, req.value);
-                // Token as soon as the store is ordered (§3.2: "the token
-                // can be generated before memory has been updated"). The
-                // store's memory latency is deliberately absent from the
-                // path: nothing downstream waits on the write completing.
-                let ft = if self.crit_on {
-                    self.crit.push_rec(req.node.0, fire, EdgeClass::Token, self.now + 1)
-                } else {
-                    fire
-                };
-                self.complete_mem(req.node.0, 0, 1, self.now + 1, ft);
-            } else {
-                let ty = match &prog.ops[req.node.index()].code {
-                    OpCode::Load { ty } => ty,
-                    _ => unreachable!("load request from non-load"),
-                };
-                let v = self.machine.load(req.addr, ty);
-                // Value when the access completes (a memory-latency
-                // self-edge, split hit vs. miss); token once ordered.
-                let (fv, ft) = if self.crit_on {
-                    let cls = if missed { EdgeClass::CacheMiss } else { EdgeClass::MemLat };
-                    (
-                        self.crit.push_rec(req.node.0, fire, cls, self.now + lat),
-                        self.crit.push_rec(req.node.0, fire, EdgeClass::Token, self.now + 1),
-                    )
-                } else {
-                    (fire, fire)
-                };
-                self.complete_mem(req.node.0, 0, v, self.now + lat, fv);
-                self.complete_mem(req.node.0, 1, 1, self.now + 1, ft);
-            }
-            self.lsq_in_flight += 1;
-            self.push_event(self.now + lat, Ev::LsqRelease { level });
-            if let Some(tr) = self.trace.as_mut() {
-                tr.push(TraceEvent::Mem {
-                    node: req.node,
-                    cycle: self.now,
-                    latency: lat,
-                    addr: req.addr,
-                    is_store: req.is_store,
-                });
-                tr.push(TraceEvent::Lsq {
-                    cycle: self.now,
-                    in_flight: self.lsq_in_flight,
-                    queued: self.lsq_queue.len() as u32,
-                });
-            }
-            issued += 1;
+    /// Wraps `log` (this recorder's log, or a copy) as a [`Wave`]: every
+    /// word that is not auxiliary is a record, and the dense arrays say
+    /// which signals recorded anything.
+    fn package(&self, log: Vec<u32>, cycles: u64) -> Wave {
+        let signals = self.last_out.iter().filter(|v| v.is_some()).count()
+            + self.pushed.iter().filter(|&&p| p).count()
+            + self
+                .node
+                .iter()
+                .map(|n| {
+                    usize::from(n.fired) + usize::from(n.stalled) + usize::from(n.pred != NO_PRED)
+                })
+                .sum::<usize>();
+        Wave {
+            changes: (log.len() - self.aux_words) as u64,
+            log,
+            dims: Dims {
+                outs: self.last_out.len(),
+                ins: self.pushed.len(),
+                nodes: self.node.len(),
+            },
+            cycles,
+            signals,
+            views: OnceLock::new(),
         }
+    }
+
+    /// The current end of the log.
+    pub(crate) fn mark(&self) -> LogMark {
+        LogMark { pos: self.log.len(), t: self.t }
+    }
+
+    /// The records appended since `from`, oldest first.
+    pub(crate) fn records_since(&self, from: LogMark) -> Records<'_> {
+        Records::new(&self.log, from)
+    }
+
+    /// The capture so far as a [`Wave`] (copies the log; `cycles` stays 0
+    /// until the run finishes).
+    pub(crate) fn to_wave(&self) -> Wave {
+        self.package(self.log.clone(), 0)
+    }
+
+    /// Packages the capture at end of run, stamping the final cycle.
+    pub(crate) fn into_wave(mut self, cycles: u64) -> Wave {
+        let log = std::mem::take(&mut self.log);
+        self.package(log, cycles)
     }
 }

@@ -10,7 +10,7 @@
 //! Run with `cargo run -p cash-bench --bin fig19_speedup`.
 
 use cash::OptLevel;
-use cash_bench::harness::{memory_systems, rule, run_batch, speedup, stats_line, write_stats};
+use cash_bench::harness::{memory_systems, rule, run_program, speedup, stats_line, write_stats};
 
 fn main() {
     let systems = memory_systems();
@@ -36,23 +36,21 @@ fn main() {
     // serial sweep. Pin worker count with CASH_THREADS.
     //
     // Each kernel compiles once per level and all four memory systems run
-    // through the same batch, so under the compiled backend the circuit
-    // is lowered 3× per kernel instead of 12×. Records are still emitted
-    // system-major (per system: None, Medium, Full) to keep BENCH files
-    // byte-compatible with the per-run sweep.
+    // on that program. Records are emitted system-major (per system: None,
+    // Medium, Full) to keep BENCH files byte-compatible with the per-run
+    // sweep.
     let levels = [OptLevel::None, OptLevel::Medium, OptLevel::Full];
     let rows = cash::par::par_map(workloads::suite(), |w| {
         let compiled: Vec<_> = levels
             .iter()
             .map(|&level| w.compile(level).unwrap_or_else(|e| panic!("{} at {level}: {e}", w.name)))
             .collect();
-        let batches: Vec<_> = compiled.iter().map(cash::Program::batch).collect();
         let mut lines = vec![Vec::new(); systems.len()];
         let mut cycles = Vec::new();
         for (si, (sys, cfg)) in systems.iter().enumerate() {
             let mut row = [0u64; 3];
-            for (li, (p, batch)) in compiled.iter().zip(&batches).enumerate() {
-                let r = run_batch(&w, batch, levels[li], cfg);
+            for (li, p) in compiled.iter().enumerate() {
+                let r = run_program(&w, p, levels[li], cfg);
                 lines[si].push(stats_line("fig19", sys, &w, levels[li], p, &r));
                 row[li] = r.cycles;
             }

@@ -11,11 +11,10 @@
 //! whitespace, so records for identical runs are byte-identical.
 //!
 //! Additive `sim` keys (the schema tag stays `v1`; old consumers ignore
-//! them): `"backend"` labels which simulator implementation produced the
-//! record (`"event"` or `"compiled"`, see [`crate::BackendKind`]). Both
-//! backends are bit-identical in every other field, so comparisons across
-//! records may treat `"backend"`, like `"us"`, as a wall-time-style
-//! provenance field rather than an outcome.
+//! them): `"backend"` labels the simulator executor that produced the
+//! record, always `"event"` (see [`crate::SimResult::backend`]).
+//! Comparisons across records treat it, like `"us"`, as a provenance
+//! field rather than an outcome.
 
 use crate::{OptReport, SimResult, SpanRec};
 use std::fmt::Write;

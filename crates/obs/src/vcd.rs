@@ -1,13 +1,13 @@
 //! Minimal, deterministic VCD (Value Change Dump, IEEE 1364) writer.
 //!
-//! The simulator's waveform capture (`ashsim::wavecap`) renders through
+//! The simulator's waveform capture (`ashsim::waves`) renders through
 //! this builder; it is generic so other producers (e.g. future fabric
 //! models) can emit viewable waveforms too. Output is **byte-stable**:
 //! identifier codes are assigned in variable-declaration order, and value
 //! changes are emitted grouped by ascending timestamp with a stable sort,
 //! so insertion order breaks ties. Two captures with identical signals
-//! and changes render to identical bytes — the waveform goldens and the
-//! dual-backend equivalence test rely on this.
+//! and changes render to identical bytes — the waveform goldens rely on
+//! this.
 //!
 //! Only the subset of VCD that GTKWave needs is produced: `$timescale`,
 //! nested `$scope module` declarations, `wire` variables of 1–64 bits,

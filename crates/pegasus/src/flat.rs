@@ -135,9 +135,8 @@ impl FlatPorts {
         self.csr[idx]
     }
 
-    /// Flat input-port id range `[start, end)` of `node` — the lowering
-    /// metadata a bytecode backend bakes into each op so the firing path
-    /// addresses per-port state by `in_base + port` with no table walk.
+    /// Flat input-port id range `[start, end)` of `node`, so a walk over
+    /// the node's inputs addresses per-port state with no table lookup.
     #[inline]
     pub fn in_range(&self, node: NodeId) -> (u32, u32) {
         (self.in_base[node.index()], self.in_base[node.index() + 1])
@@ -147,20 +146,6 @@ impl FlatPorts {
     #[inline]
     pub fn out_range(&self, node: NodeId) -> (u32, u32) {
         (self.out_base[node.index()], self.out_base[node.index() + 1])
-    }
-
-    /// The CSR slice bounds of a flat output-port id (the `(node, port)`
-    /// pair already resolved — see [`Self::out_id`]).
-    #[inline]
-    pub fn consumer_range_of(&self, out_id: u32) -> (usize, usize) {
-        (self.csr_off[out_id as usize] as usize, self.csr_off[out_id as usize + 1] as usize)
-    }
-
-    /// The consumers of a flat output-port id, in use-record order.
-    #[inline]
-    pub fn consumers_of(&self, out_id: u32) -> &[FlatUse] {
-        let (s, e) = self.consumer_range_of(out_id);
-        &self.csr[s..e]
     }
 }
 
@@ -210,14 +195,9 @@ mod tests {
         // Flat input ids are dense and unique.
         assert_eq!(f.num_in_ports(), g.ids().map(|id| g.num_inputs(id)).sum::<usize>());
         assert_eq!(f.in_id(ld, 2) - f.in_id(ld, 0), 2);
-        // The by-flat-id accessors agree with the by-(node, port) ones.
+        // The per-node ranges agree with the by-(node, port) ids.
         assert_eq!(f.in_range(ld), (f.in_id(ld, 0), f.in_id(ld, 0) + 3));
         assert_eq!(f.out_range(ld), (f.out_id(ld, 0), f.out_id(ld, 0) + 2));
-        for port in 0..2 {
-            let oid = f.out_id(ld, port);
-            assert_eq!(f.consumer_range_of(oid), f.consumer_range(ld, port));
-            assert_eq!(f.consumers_of(oid), f.consumers(ld, port));
-        }
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!    UPDATE_GOLDEN=1 cargo test -q -p cash-integration --test waves
 //!    ```
 //!
-//! 2. **Backend equivalence.** The event interpreter and the compiled
-//!    executor mirror the capture hooks line-for-line, so the whole suite
-//!    must emit *byte-identical* VCD under both backends.
+//! 2. **Additive capture.** Every suite kernel captures and renders, and
+//!    turning capture on leaves the simulated outcome untouched.
 //!
 //! 3. **Checkpoint round-trips.** `Replay` restores executor snapshots
 //!    and re-executes; because delivery order is pinned to `(cycle, seq)`,
@@ -21,7 +20,7 @@
 //!    final record exactly, and reverse-step must land on the same state
 //!    the forward pass saw.
 
-use cash::{BackendKind, Compiler, MemSystem, OptLevel, Replay, SimConfig, StopReason};
+use cash::{Compiler, MemSystem, OptLevel, Replay, SimConfig, StopReason};
 
 fn perfect() -> SimConfig {
     SimConfig { mem: MemSystem::Perfect { latency: 2 }, ..SimConfig::default() }
@@ -41,7 +40,7 @@ fn vcd_goldens_are_byte_stable() {
     for (kernel, arg) in GOLDEN_KERNELS {
         let w = workloads::by_name(kernel).expect("suite kernel");
         let p = Compiler::new().level(OptLevel::Full).compile(w.source).unwrap();
-        let cfg = perfect().with_backend(BackendKind::Event).with_waves(true);
+        let cfg = perfect().with_waves(true);
         let r = p.simulate(&[arg], &cfg).unwrap();
         let vcd = r.waves.as_ref().expect("waves enabled").to_vcd(&p.graph);
         let path = golden_path(kernel);
@@ -57,50 +56,41 @@ fn vcd_goldens_are_byte_stable() {
     }
 }
 
-/// Every suite kernel, both backends, byte-identical VCD. Reduced
-/// arguments keep the captures (every value change on every port) fast.
+/// Waves stay out of the stats record (and the goldens) unless asked
+/// for; with them on, every suite kernel captures and renders a VCD.
+/// Reduced arguments keep the captures (every value change on every port)
+/// fast.
 #[test]
-fn backends_emit_identical_vcd_for_every_kernel() {
+fn waves_off_leaves_the_sim_record_unchanged() {
     let suite = workloads::suite();
     assert!(suite.len() >= 16, "suite shrank to {}", suite.len());
     cash::par::par_map(suite, |w| {
         let p = Compiler::new().level(OptLevel::Full).compile(w.source).unwrap();
         let arg = (w.default_arg / 4).max(1);
-        let run = |backend| {
-            let cfg = perfect().with_backend(backend).with_waves(true);
-            let r = p.simulate(&[arg], &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            r.waves.expect("waves enabled")
-        };
-        let ev = run(BackendKind::Event);
-        let co = run(BackendKind::Compiled);
-        assert_eq!(ev, co, "{}: capture diverged between backends", w.name);
-        assert_eq!(
-            ev.to_vcd(&p.graph),
-            co.to_vcd(&p.graph),
-            "{}: VCD not byte-identical between backends",
+        let run =
+            |cfg: &SimConfig| p.simulate(&[arg], cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let off = run(&perfect());
+        assert!(off.waves.is_none(), "{}", w.name);
+        assert!(!off.to_json().contains("\"waves\""), "{}", w.name);
+        let on = run(&perfect().with_waves(true));
+        assert!(on.to_json().contains("\"waves\":{\"signals\":"), "{}", w.name);
+        // The capture is additive: everything else is untouched.
+        assert_eq!(off.cycles, on.cycles, "{}: cycles", w.name);
+        assert_eq!(off.fired, on.fired, "{}: fired", w.name);
+        assert_eq!(off.ret, on.ret, "{}: ret", w.name);
+        let wave = on.waves.expect("waves enabled");
+        assert!(wave.num_changes() > 0, "{}: empty capture", w.name);
+        let vcd = wave.to_vcd(&p.graph);
+        assert!(
+            vcd.starts_with("$comment cash-wavecap-v1 $end") && vcd.contains("$enddefinitions"),
+            "{}: VCD did not render",
             w.name
         );
     });
 }
 
-/// Waves stay out of the stats record (and the goldens) unless asked for.
-#[test]
-fn waves_off_leaves_the_sim_record_unchanged() {
-    let w = workloads::by_name("adpcm_e").expect("suite kernel");
-    let p = Compiler::new().level(OptLevel::Full).compile(w.source).unwrap();
-    let off = p.simulate(&[4], &perfect()).unwrap();
-    assert!(off.waves.is_none());
-    assert!(!off.to_json().contains("\"waves\""));
-    let on = p.simulate(&[4], &perfect().with_waves(true)).unwrap();
-    assert!(on.to_json().contains("\"waves\":{\"signals\":"));
-    // The capture is additive: everything else is untouched.
-    assert_eq!(off.cycles, on.cycles);
-    assert_eq!(off.fired, on.fired);
-    assert_eq!(off.ret, on.ret);
-}
-
 /// Zeroes the wall-time field (the one nondeterministic part of the
-/// record) — same normalization as the backend-equivalence tier.
+/// record).
 fn normalize(json: &str) -> String {
     let mut s = json.to_string();
     if let Some(at) = s.find("\"us\":") {
