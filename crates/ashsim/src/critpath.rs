@@ -24,7 +24,6 @@
 
 use crate::memory::MemTimeline;
 use pegasus::{Graph, NodeId, VClass};
-use std::collections::HashMap;
 
 /// Sentinel record id: "no record" (critpath off, or a path root).
 pub(crate) const NO_REC: u32 = u32::MAX;
@@ -353,7 +352,8 @@ pub(crate) fn summarize(st: &CritState, g: &Graph) -> CritSummary {
     let Some(mut r) = st.ret_rec else {
         return s;
     };
-    let mut edges: HashMap<(u32, u32, u8), (u64, u64)> = HashMap::new();
+    // One `(src, dst, class, dt)` per path step, folded per edge below.
+    let mut steps: Vec<(u32, u32, u8, u64)> = Vec::new();
     loop {
         let rec = st.recs[r as usize];
         let node = rec.node() as usize;
@@ -376,21 +376,25 @@ pub(crate) fn summarize(st: &CritState, g: &Graph) -> CritSummary {
             s.path_len += 1;
             s.hops.push((NodeId(node as u32), rec.t));
         }
-        let e = edges.entry((pnode, node as u32, rec.class())).or_insert((0, 0));
-        e.0 += dt;
-        e.1 += 1;
+        steps.push((pnode, node as u32, rec.class(), dt));
         r = p;
     }
-    s.edges = edges
-        .into_iter()
-        .map(|((src, dst, class), (cycles, count))| CritEdge {
-            src: NodeId(src),
-            dst: NodeId(dst),
-            class: EdgeClass::from_u8(class),
-            cycles,
-            count,
-        })
-        .collect();
+    steps.sort_unstable_by_key(|&(src, dst, class, _)| (src, dst, class));
+    for (src, dst, class, dt) in steps {
+        match s.edges.last_mut() {
+            Some(e) if (e.src.0, e.dst.0, e.class as u8) == (src, dst, class) => {
+                e.cycles += dt;
+                e.count += 1;
+            }
+            _ => s.edges.push(CritEdge {
+                src: NodeId(src),
+                dst: NodeId(dst),
+                class: EdgeClass::from_u8(class),
+                cycles: dt,
+                count: 1,
+            }),
+        }
+    }
     s.edges.sort_by(|a, b| {
         b.cycles
             .cmp(&a.cycles)

@@ -12,6 +12,15 @@
 //! Functional determinism follows from Kahn-network discipline: each channel
 //! delivers values in order, merges pop in global arrival order, and
 //! run-time constants are modeled as always-available *sticky* sources.
+//!
+//! The executor comes in two instantiations of one type, chosen by the
+//! `OBSERVED` const parameter. [`simulate`] runs `Executor<false>` when
+//! `profile`, `trace`, `critpath` and `waves` are all off: every collector
+//! hook and the recent-firings ring compile out of that loop. Any collector
+//! flag selects `Executor<true>`, where each hook still tests its own
+//! runtime flag; [`diagnose`] and [`crate::replay`] always use it. Both
+//! instantiations run the same scheduler code, so they produce the same
+//! cycles, firings and memory image.
 
 use crate::critpath::{self, CritState, CritSummary, EdgeClass, NO_REC};
 use crate::memory::{Machine, MemStats, MemSystem};
@@ -41,21 +50,21 @@ pub struct SimConfig {
     /// Hard cycle limit; exceeding it is an error.
     pub max_cycles: u64,
     /// Collect a per-node firing/stall profile ([`SimResult::profile`]).
-    /// Off by default: the uninstrumented hot path pays only a branch.
+    /// Off by default. With `profile`, `trace`, `critpath` and `waves` all
+    /// off, [`simulate`] runs the bare executor, which has no collector
+    /// code; any of them selects the observed one.
     pub profile: bool,
     /// Record the event stream for Chrome-trace export
     /// ([`SimResult::trace`]). Substantially more memory than `profile`.
     pub trace: bool,
     /// Record every firing's last-arriving input and extract the dynamic
     /// critical path at completion ([`SimResult::crit`]). Adds one flat
-    /// record per firing stage and a slab mirroring the channel FIFOs;
-    /// the uninstrumented path pays only a branch.
+    /// record per firing stage and a slab mirroring the channel FIFOs.
     pub critpath: bool,
     /// Capture per-signal waveforms — value changes, FIFO occupancy,
     /// firings, predicate outcomes and stall transitions — into
     /// [`SimResult::waves`] for VCD export and `cashdbg` replay. Memory
-    /// scales with total channel activity (comparable to `trace`); the
-    /// uninstrumented path pays only a branch per hook site.
+    /// scales with total channel activity (comparable to `trace`).
     pub waves: bool,
 }
 
@@ -275,7 +284,12 @@ pub fn simulate(
     config: &SimConfig,
 ) -> Result<SimResult, SimError> {
     let sp = obs::span::enter("sim.run");
-    let out = Executor::new(graph, machine, args, config).and_then(Executor::run);
+    let observed = config.profile || config.trace || config.critpath || config.waves;
+    let out = if observed {
+        Executor::<true>::new(graph, machine, args, config).and_then(Executor::run)
+    } else {
+        Executor::<false>::new(graph, machine, args, config).and_then(Executor::run)
+    };
     let wall_us = sp.end_us();
     obs::metrics::histogram("sim.us").observe(wall_us);
     match out {
@@ -307,7 +321,8 @@ pub fn diagnose(
     config: &SimConfig,
 ) -> Result<SimResult, (SimError, String)> {
     let t0 = std::time::Instant::now();
-    let mut ex = Executor::new(graph, machine, args, config).map_err(|e| (e, String::new()))?;
+    let mut ex =
+        Executor::<true>::new(graph, machine, args, config).map_err(|e| (e, String::new()))?;
     loop {
         match ex.step_once() {
             Ok(Some(mut r)) => {
@@ -345,7 +360,7 @@ pub fn diagnose(
                 // With waveform capture on, show what actually moved on the
                 // blocked nodes' input signals in the last 32 cycles —
                 // usually enough to see which producer went quiet.
-                if ex.waves_on {
+                if ex.waves_on() {
                     let blocked: Vec<NodeId> = ex.blocked_nodes().iter().map(|b| b.node).collect();
                     s.push_str(
                         &ex.wave.to_wave().tail_report(ex.g, &ex.flat, &blocked, ex.now, 32),
@@ -357,7 +372,11 @@ pub fn diagnose(
     }
 }
 
-pub(crate) struct Executor<'a> {
+/// The self-timed executor. With `OBSERVED = false` every collector hook
+/// (profile, trace, critpath, waves) and the recent-firings ring is
+/// compiled out; with `OBSERVED = true` each hook runs when its
+/// [`SimConfig`] flag is set.
+pub(crate) struct Executor<'a, const OBSERVED: bool> {
     g: &'a Graph,
     /// Dense port ids + CSR consumer adjacency (see [`pegasus::flat`]):
     /// the hot loop never walks `Graph`'s per-node `Vec`s.
@@ -407,6 +426,10 @@ pub(crate) struct Executor<'a> {
     fired: u64,
     deferrals: u64,
     result: Option<(Option<i64>, u64)>,
+    /// The last input FIFO the current firing attempt emptied
+    /// (`usize::MAX` if none): lets [`Self::try_fire`] skip a retry that
+    /// must fail.
+    emptied: usize,
     /// Per-node profile, allocated only when `config.profile` is set.
     prof: Option<Vec<NodeProfile>>,
     /// Open stall window per node: (start cycle, cause). Only allocated
@@ -414,11 +437,13 @@ pub(crate) struct Executor<'a> {
     stall_since: Vec<Option<(u64, StallCause)>>,
     /// Recorded event stream, allocated only when `config.trace` is set.
     trace: Option<Vec<TraceEvent>>,
-    /// Always-on flight ring of the most recent firings `(node, cycle)`,
-    /// embedded in deadlock diagnoses. Two stores per firing.
+    /// Flight ring of the most recent firings `(node, cycle)`, embedded in
+    /// deadlock diagnoses. Kept only by the observed instantiation (which
+    /// [`diagnose`] and replay use); the bare one compiles it out.
     recent: Vec<(u32, u64)>,
     recent_next: usize,
-    /// Is critical-path recording on? Gates every `crit` access.
+    /// Is critical-path recording on? Gates every `crit` access through
+    /// [`Self::crit_on`]; never set in the bare instantiation.
     crit_on: bool,
     /// Critical-path recorder, stored inline so the instrumented hot path
     /// pays a field offset instead of a pointer chase. Built with zero
@@ -476,7 +501,7 @@ impl ExecSnapshot {
     }
 }
 
-impl<'a> Executor<'a> {
+impl<'a, const OBSERVED: bool> Executor<'a, OBSERVED> {
     pub(crate) fn new(
         g: &'a Graph,
         machine: &'a mut Machine,
@@ -583,7 +608,10 @@ impl<'a> Executor<'a> {
         // Critical-path recorder, with the per-output-port edge class
         // precomputed so delivery indexes a table instead of matching on
         // `NodeKind` (built here, before `flat` moves into the executor).
-        let crit_on = config.critpath;
+        // The bare instantiation allocates no collector state at all.
+        let profile = OBSERVED && config.profile;
+        let waves = OBSERVED && config.waves;
+        let crit_on = OBSERVED && config.critpath;
         let crit = if crit_on {
             let mut out_class = vec![EdgeClass::Data as u8; num_out];
             for id in g.ids() {
@@ -601,11 +629,7 @@ impl<'a> Executor<'a> {
             g,
             machine,
             config,
-            in_class: if config.profile || config.waves {
-                sched::input_classes(g, &flat)
-            } else {
-                Vec::new()
-            },
+            in_class: if profile || waves { sched::input_classes(g, &flat) } else { Vec::new() },
             fifos,
             in_sticky,
             in_src,
@@ -627,15 +651,16 @@ impl<'a> Executor<'a> {
             fired: 0,
             deferrals: 0,
             result: None,
-            prof: config.profile.then(|| vec![NodeProfile::default(); n]),
-            stall_since: if config.profile { vec![None; n] } else { Vec::new() },
-            trace: config.trace.then(Vec::new),
-            recent: Vec::with_capacity(RECENT_CAP),
+            emptied: usize::MAX,
+            prof: profile.then(|| vec![NodeProfile::default(); n]),
+            stall_since: if profile { vec![None; n] } else { Vec::new() },
+            trace: (OBSERVED && config.trace).then(Vec::new),
+            recent: if OBSERVED { Vec::with_capacity(RECENT_CAP) } else { Vec::new() },
             recent_next: 0,
             crit_on,
             crit,
-            waves_on: config.waves,
-            wave: if config.waves { WaveState::new(num_out, num_in, n) } else { WaveState::off() },
+            waves_on: waves,
+            wave: if waves { WaveState::new(num_out, num_in, n) } else { WaveState::off() },
         };
         // Kick off: initial tokens fire at cycle 0 (each is a root of the
         // last-arrival DAG); every node with only sticky inputs is
@@ -643,7 +668,7 @@ impl<'a> Executor<'a> {
         for id in g.live_ids() {
             match g.kind(id) {
                 NodeKind::InitialToken => {
-                    let fire = if ex.crit_on {
+                    let fire = if ex.crit_on() {
                         ex.crit.push_rec(id.0, NO_REC, EdgeClass::Token, 0)
                     } else {
                         NO_REC
@@ -654,6 +679,25 @@ impl<'a> Executor<'a> {
             }
         }
         Ok(ex)
+    }
+
+    /// Is critical-path recording on? Constant `false` in the bare
+    /// instantiation, so every guarded hook compiles out.
+    #[inline(always)]
+    fn crit_on(&self) -> bool {
+        OBSERVED && self.crit_on
+    }
+
+    /// Is waveform capture on? (Same discipline as [`Self::crit_on`].)
+    #[inline(always)]
+    fn waves_on(&self) -> bool {
+        OBSERVED && self.waves_on
+    }
+
+    /// Is per-node profiling on?
+    #[inline(always)]
+    fn profiling(&self) -> bool {
+        OBSERVED && self.prof.is_some()
     }
 
     fn push_event(&mut self, t: u64, ev: Ev) {
@@ -686,17 +730,17 @@ impl<'a> Executor<'a> {
             // schedules new same-cycle events (zero-latency emission calls
             // `deliver` directly), so one drain is exhaustive.
             let due = self.events.take_due(self.now);
-            for &(_, _, ev) in &due {
+            for &ev in &due {
                 match ev {
                     Ev::Deliver { node, port, value, fire } => {
                         self.deliver(node, port, value, fire)
                     }
                     Ev::LsqRelease { level } => {
                         self.lsq_in_flight -= 1;
-                        if self.crit_on {
+                        if self.crit_on() {
                             self.crit.timeline.release(self.now, level);
                         }
-                        if let Some(tr) = self.trace.as_mut() {
+                        if let Some(tr) = self.trace.as_mut().filter(|_| OBSERVED) {
                             tr.push(TraceEvent::Lsq {
                                 cycle: self.now,
                                 in_flight: self.lsq_in_flight,
@@ -762,12 +806,12 @@ impl<'a> Executor<'a> {
         let seq = self.seq;
         // Edge class once per delivery: a table lookup on the producing
         // flat output port (precomputed at init, no `NodeKind` match here).
-        let crit_class = if self.crit_on {
+        let crit_class = if self.crit_on() {
             EdgeClass::from_u8(self.crit.out_class[self.flat.out_id(node, port) as usize])
         } else {
             EdgeClass::Data
         };
-        if self.waves_on {
+        if self.waves_on() {
             self.wave.record_out(self.flat.out_id(node, port) as usize, self.now, value);
         }
         let (start, end) = self.flat.consumer_range(node, port);
@@ -778,10 +822,10 @@ impl<'a> Executor<'a> {
                 *r -= 1;
             }
             let at = self.fifos.push_back(u.dst_flat as usize, (seq, value));
-            if self.crit_on {
+            if self.crit_on() {
                 self.crit.channel_push(at, fire, self.now, crit_class);
             }
-            if self.waves_on {
+            if self.waves_on() {
                 self.wave.record_occ_push(u.dst_flat as usize, self.now);
             }
             self.mark_dirty(u.dst);
@@ -811,10 +855,13 @@ impl<'a> Executor<'a> {
         let was_full =
             self.fifos.len(fp) + self.reserved[fp] as usize >= self.config.channel_capacity;
         let ((_, v), at) = self.fifos.pop_front(fp).expect("pop of available input");
-        if self.crit_on {
+        if self.fifos.is_empty(fp) {
+            self.emptied = fp;
+        }
+        if self.crit_on() {
             self.crit.pop_and_offer(at);
         }
-        if self.waves_on {
+        if self.waves_on() {
             self.wave.record_occ_pop(fp, self.now);
         }
         // Wake the producer only on a full→non-full transition: a producer
@@ -852,7 +899,7 @@ impl<'a> Executor<'a> {
     /// is off). Call only after all of the firing's pops.
     #[inline]
     fn crit_fire_rec(&mut self) -> u32 {
-        if self.crit_on {
+        if self.crit_on() {
             self.crit.fire_rec(self.now)
         } else {
             NO_REC
@@ -865,7 +912,7 @@ impl<'a> Executor<'a> {
     /// so each grant in a burst gets its own record.
     #[inline]
     fn crit_grant_rec(&mut self, id: NodeId) -> u32 {
-        if !self.crit_on {
+        if !self.crit_on() {
             return NO_REC;
         }
         if self.crit.best().is_none() {
@@ -950,11 +997,11 @@ impl<'a> Executor<'a> {
             SimProfile { nodes, cycles }
         });
         let trace = self.trace.take().map(|events| Trace { events });
-        let crit = self.crit_on.then(|| {
+        let crit = self.crit_on().then(|| {
             self.crit.timeline.finish(cycles);
             critpath::summarize(&self.crit, self.g)
         });
-        let waves = self.waves_on.then(|| std::mem::take(&mut self.wave).into_wave(cycles));
+        let waves = self.waves_on().then(|| std::mem::take(&mut self.wave).into_wave(cycles));
         SimResult {
             ret,
             cycles,
@@ -1157,15 +1204,15 @@ impl<'a> Executor<'a> {
     /// whatever is holding the node up, and waveform capture records the
     /// stall class.
     fn note_stall(&mut self, id: NodeId) {
-        let open = self.prof.is_some() && self.stall_since[id.index()].is_none();
-        if !open && !self.waves_on {
+        let open = self.profiling() && self.stall_since[id.index()].is_none();
+        if !open && !self.waves_on() {
             return;
         }
         let cause = self.classify_stall(id);
         if open {
             self.stall_since[id.index()] = cause.map(|c| (self.now, c));
         }
-        if self.waves_on {
+        if self.waves_on() {
             self.wave.record_stall(id.index(), self.now, stall_code(cause));
         }
     }
@@ -1173,34 +1220,62 @@ impl<'a> Executor<'a> {
     fn try_fire(&mut self, id: NodeId) {
         // Loop: a node may be able to fire several times per cycle when
         // multiple waves are queued; we fire at most a few to let others go.
-        for _ in 0..4 {
-            if !self.fire_once(id) {
-                if self.prof.is_some() || self.waves_on {
+        for attempt in 0..4 {
+            self.emptied = usize::MAX;
+            let fired = self.fire_once(id);
+            if fired {
+                self.fired += 1;
+                self.has_fired[id.index()] = true;
+                if OBSERVED {
+                    self.note_observed_fire(id);
+                }
+            }
+            // A node that needs every input cannot fire again once this
+            // firing left one of its popped FIFOs empty: skip the retry
+            // that must fail, and note the stall it would have noted.
+            if !fired || (attempt < 3 && self.retry_must_fail(id)) {
+                if self.profiling() || self.waves_on() {
                     self.note_stall(id);
                 }
                 return;
             }
-            self.fired += 1;
-            self.has_fired[id.index()] = true;
-            if self.recent.len() < RECENT_CAP {
-                self.recent.push((id.0, self.now));
-            } else {
-                self.recent[self.recent_next] = (id.0, self.now);
-            }
-            self.recent_next = (self.recent_next + 1) % RECENT_CAP;
-            if self.prof.is_some() {
-                self.note_fire(id);
-            }
-            if self.waves_on {
-                self.wave.record_fire(id.index(), self.now);
-                self.wave.record_stall(id.index(), self.now, 0);
-            }
-            if let Some(tr) = self.trace.as_mut() {
-                tr.push(TraceEvent::Fire { node: id, cycle: self.now });
-            }
         }
         // Still more queued? Come back later this cycle.
         self.mark_dirty(id);
+    }
+
+    /// After a successful firing of `id`: would an immediate retry find an
+    /// input missing? True when the firing emptied a popped input FIFO that
+    /// is still empty, and `id` fires only with all inputs present — every
+    /// kind but `Merge` (one input per firing) and `TokenGen` (absorbs
+    /// whatever arrived, grants from banked credits).
+    #[inline]
+    fn retry_must_fail(&self, id: NodeId) -> bool {
+        self.emptied != usize::MAX
+            && self.fifos.is_empty(self.emptied)
+            && !matches!(self.g.kind(id), NodeKind::Merge { .. } | NodeKind::TokenGen { .. })
+    }
+
+    /// Collector bookkeeping for a successful firing (observed
+    /// instantiation only): the recent-firings ring, then each enabled
+    /// collector.
+    fn note_observed_fire(&mut self, id: NodeId) {
+        if self.recent.len() < RECENT_CAP {
+            self.recent.push((id.0, self.now));
+        } else {
+            self.recent[self.recent_next] = (id.0, self.now);
+        }
+        self.recent_next = (self.recent_next + 1) % RECENT_CAP;
+        if self.profiling() {
+            self.note_fire(id);
+        }
+        if self.waves_on() {
+            self.wave.record_fire(id.index(), self.now);
+            self.wave.record_stall(id.index(), self.now, 0);
+        }
+        if let Some(tr) = self.trace.as_mut().filter(|_| OBSERVED) {
+            tr.push(TraceEvent::Fire { node: id, cycle: self.now });
+        }
     }
 
     /// Attempts one firing; returns whether it fired.
@@ -1211,7 +1286,7 @@ impl<'a> Executor<'a> {
         if self.once_only[id.index()] && self.has_fired[id.index()] {
             return false; // entry-hyperblock op: one execution only
         }
-        if self.crit_on {
+        if self.crit_on() {
             self.crit.begin_fire(id.0);
         }
         // Copy the graph reference out of `self` so matching on the node
@@ -1307,7 +1382,7 @@ impl<'a> Executor<'a> {
                 }
                 let v = self.pop_input(id, 0);
                 let p = self.pop_input(id, 1);
-                if self.waves_on {
+                if self.waves_on() {
                     self.wave.record_pred(id.index(), self.now, p != 0);
                 }
                 if p != 0 {
@@ -1346,7 +1421,7 @@ impl<'a> Executor<'a> {
                 let addr = self.pop_input(id, 0) as u64;
                 let pred = self.pop_input(id, 1);
                 self.pop_input(id, 2); // token
-                if self.waves_on {
+                if self.waves_on() {
                     self.wave.record_pred(id.index(), self.now, pred != 0);
                 }
                 let fr = self.crit_fire_rec();
@@ -1385,7 +1460,7 @@ impl<'a> Executor<'a> {
                 let value = self.pop_input(id, 1);
                 let pred = self.pop_input(id, 2);
                 self.pop_input(id, 3); // token
-                if self.waves_on {
+                if self.waves_on() {
                     self.wave.record_pred(id.index(), self.now, pred != 0);
                 }
                 let fr = self.crit_fire_rec();
@@ -1416,11 +1491,11 @@ impl<'a> Executor<'a> {
                 let pred = self.pop_input(id, 0);
                 self.pop_input(id, 1);
                 let v = if has_value { Some(self.pop_input(id, 2)) } else { None };
-                if self.waves_on {
+                if self.waves_on() {
                     self.wave.record_pred(id.index(), self.now, pred != 0);
                 }
                 if pred != 0 {
-                    if self.crit_on {
+                    if self.crit_on() {
                         let fr = self.crit.fire_rec(self.now);
                         self.crit.ret_rec = Some(fr);
                     }
@@ -1463,7 +1538,7 @@ impl<'a> Executor<'a> {
         }
         // Remember the newest absorb so credit-banked grants in later
         // calls still chain into the path instead of becoming roots.
-        if self.crit_on {
+        if self.crit_on() {
             if let Some(b) = self.crit.best() {
                 if let Some(st) = self.tokengen[id.index()].as_mut() {
                     st.last_arrival = Some(b);
@@ -1520,7 +1595,7 @@ impl<'a> Executor<'a> {
             } else {
                 2
             };
-            if let Some(prof) = self.prof.as_mut() {
+            if let Some(prof) = self.prof.as_mut().filter(|_| OBSERVED) {
                 // Port contention: cycles the request sat queued.
                 prof[req.node.index()]
                     .add_stall(StallCause::LsqPort, self.now.saturating_sub(req.enqueued));
@@ -1528,7 +1603,7 @@ impl<'a> Executor<'a> {
             // An LSQ-order self-edge when the request sat queued behind
             // ports/occupancy: the wait is the LSQ's fault, not the input's.
             let mut fire = req.fire;
-            if self.crit_on {
+            if self.crit_on() {
                 self.crit.timeline.issue(self.now, level);
                 if self.now > req.enqueued {
                     fire = self.crit.push_rec(req.node.0, fire, EdgeClass::LsqOrder, self.now);
@@ -1544,7 +1619,7 @@ impl<'a> Executor<'a> {
                 // can be generated before memory has been updated"). The
                 // store's memory latency is deliberately absent from the
                 // path: nothing downstream waits on the write completing.
-                let ft = if self.crit_on {
+                let ft = if self.crit_on() {
                     self.crit.push_rec(req.node.0, fire, EdgeClass::Token, self.now + 1)
                 } else {
                     fire
@@ -1558,7 +1633,7 @@ impl<'a> Executor<'a> {
                 let v = self.machine.load(req.addr, ty);
                 // Value when the access completes (a memory-latency
                 // self-edge, split hit vs. miss); token once ordered.
-                let (fv, ft) = if self.crit_on {
+                let (fv, ft) = if self.crit_on() {
                     let cls = if missed { EdgeClass::CacheMiss } else { EdgeClass::MemLat };
                     (
                         self.crit.push_rec(req.node.0, fire, cls, self.now + lat),
@@ -1572,7 +1647,7 @@ impl<'a> Executor<'a> {
             }
             self.lsq_in_flight += 1;
             self.push_event(self.now + lat, Ev::LsqRelease { level });
-            if let Some(tr) = self.trace.as_mut() {
+            if let Some(tr) = self.trace.as_mut().filter(|_| OBSERVED) {
                 tr.push(TraceEvent::Mem {
                     node: req.node,
                     cycle: self.now,

@@ -193,7 +193,7 @@ impl<'g> Replay<'g> {
         let mut checkpoints = Vec::new();
         let mut rec_machine = machine.clone();
         let final_result = {
-            let mut ex = Executor::new(g, &mut rec_machine, args, &config)?;
+            let mut ex = Executor::<true>::new(g, &mut rec_machine, args, &config)?;
             let mut next_cp = 0u64;
             loop {
                 if ex.now() >= next_cp {
@@ -213,7 +213,7 @@ impl<'g> Replay<'g> {
             let mut crit_config = config.clone();
             crit_config.waves = false;
             crit_config.critpath = true;
-            Executor::new(g, &mut crit_machine, args, &crit_config)
+            Executor::<true>::new(g, &mut crit_machine, args, &crit_config)
                 .and_then(Executor::run)?
                 .crit
                 .map(|c| c.hops)
@@ -337,7 +337,7 @@ impl<'g> Replay<'g> {
             return Ok(StopReason::Finished);
         }
         let config = self.config.clone();
-        let mut ex = Executor::new(self.g, &mut self.machine, &self.args, &config)?;
+        let mut ex = Executor::<true>::new(self.g, &mut self.machine, &self.args, &config)?;
         ex.restore(&self.cur);
         let reason = loop {
             if ex.now() >= target {

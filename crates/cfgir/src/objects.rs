@@ -43,6 +43,16 @@ pub enum ObjectKind {
     ParamPtr,
 }
 
+/// Largest memory image, in bytes, a module may declare. The simulator
+/// lays out and allocates every object up front, so a front end rejects a
+/// declaration that would pass this cap rather than let allocation abort.
+pub const MAX_IMAGE_BYTES: u64 = 1 << 28;
+
+/// Byte size of `len` elements of `elem`, or `None` if it overflows `u64`.
+pub fn array_bytes(elem: &Type, len: u64) -> Option<u64> {
+    elem.size_bytes().checked_mul(len)
+}
+
 /// A named region of memory with a fixed element type and element count.
 #[derive(Debug, Clone)]
 pub struct MemObject {
@@ -74,8 +84,13 @@ impl MemObject {
     }
 
     /// A global array of `len` elements of type `elem`.
+    ///
+    /// # Panics
+    ///
+    /// If the array's byte size overflows `u64` (front ends check
+    /// [`array_bytes`] first).
     pub fn global(name: impl Into<String>, elem: Type, len: u64) -> Self {
-        let size = elem.size_bytes() * len;
+        let size = array_bytes(&elem, len).expect("object byte size overflows u64");
         MemObject {
             name: name.into(),
             elem,
@@ -106,7 +121,7 @@ impl MemObject {
     /// An immutable (const / string literal) object with initial contents.
     pub fn immutable(name: impl Into<String>, elem: Type, init: Vec<i64>) -> Self {
         let len = init.len() as u64;
-        let size = elem.size_bytes() * len;
+        let size = array_bytes(&elem, len).expect("object byte size overflows u64");
         MemObject {
             name: name.into(),
             elem,

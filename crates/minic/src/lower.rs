@@ -8,7 +8,7 @@
 
 use crate::ast::{Bin, Expr, ExprKind, FuncDecl, LocalDecl, Program, Stmt, Ty, Un};
 use cfgir::func::{BlockId, Function, Instr, Reg, Terminator};
-use cfgir::objects::{MemObject, ObjId, ObjectSet};
+use cfgir::objects::{array_bytes, MemObject, ObjId, ObjectSet, MAX_IMAGE_BYTES};
 use cfgir::pointsto::recompute_may_sets;
 use cfgir::types::{BinOp, Type, UnOp};
 use cfgir::{Module, PragmaIndependent};
@@ -32,6 +32,27 @@ impl std::error::Error for LowerError {}
 
 fn err<T>(line: u32, msg: impl Into<String>) -> Result<T, LowerError> {
     Err(LowerError { line, msg: msg.into() })
+}
+
+/// Rejects an object of `len` elements of `elem` whose byte size overflows
+/// or would grow the module's memory image past [`MAX_IMAGE_BYTES`].
+fn check_image(
+    module: &Module,
+    elem: &Type,
+    len: u64,
+    name: &str,
+    line: u32,
+) -> Result<(), LowerError> {
+    match array_bytes(elem, len) {
+        Some(bytes) if bytes <= MAX_IMAGE_BYTES.saturating_sub(module.static_bytes()) => Ok(()),
+        _ => err(
+            line,
+            format!(
+                "`{name}` ({len} elements) does not fit the {} MiB memory image",
+                MAX_IMAGE_BYTES >> 20
+            ),
+        ),
+    }
 }
 
 /// Converts a surface type to a `cfgir` type.
@@ -62,6 +83,7 @@ pub fn lower(program: &Program) -> Result<Module, LowerError> {
             return err(g.line, format!("global `{}` cannot be void", g.name));
         }
         let len = g.array_len.unwrap_or(1);
+        check_image(&module, &elem, len, &g.name, g.line)?;
         let obj = if g.is_const {
             let mut init = g.init.clone();
             init.resize(len as usize, 0);
@@ -729,6 +751,7 @@ impl<'a> FnLower<'a> {
             if d.init.is_some() {
                 return err(d.line, "local array initializers are not supported");
             }
+            check_image(self.module, &ty, len, &d.name, d.line)?;
             let id = self.module.add_object(MemObject::local(
                 format!("{}::{}", self.fname, d.name),
                 ty.clone(),

@@ -24,6 +24,12 @@ cargo fmt --all -- "${FMT_ARGS[@]+"${FMT_ARGS[@]}"}"
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Blocking: the benchmark driver is a workspace of its own, so the steps
+# above never compile it; an executor or crate API change must not break it.
+echo "==> cargo check perfbench (blocking)"
+CARGO_TARGET_DIR=target/perfbench cargo check --release --offline \
+    --manifest-path perfbench/Cargo.toml
+
 # Blocking: the observability runtime must be close to free. The smoke
 # interleaves recording-on and recording-off runs of the perf_smoke
 # kernels in one process and gates on the min-of-k wall-time delta.
@@ -77,4 +83,4 @@ fi
 echo "==> cashwave VCD export (informational)"
 ./target/release/cashwave g721_e || echo "cashwave failed (non-blocking)"
 
-echo "OK: build, cashlint, tests, fmt and clippy all clean"
+echo "OK: build, cashlint, tests, fmt, clippy and perfbench check all clean"

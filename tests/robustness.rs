@@ -85,3 +85,30 @@ fn mutated_kernels_never_panic() {
     assert!(count(Outcome::Rejected) > 0, "no mutant was rejected");
     assert!(count(Outcome::Ran) > 0, "no mutant compiled and ran");
 }
+
+/// Array declarations whose byte size overflows, or passes the memory
+/// image cap, are line-numbered diagnostics — not an allocation abort in
+/// `Machine::new` and not a wrapped object layout.
+#[test]
+fn oversized_arrays_are_diagnosed() {
+    let cases = [
+        ("int a[100000000000];\nint main() { return a[0]; }", 1),
+        ("int a[4611686018427387904];\nint main() { return a[0]; }", 1),
+        ("int main() {\n  int a[4611686018427387904];\n  a[0] = 1;\n  return a[0];\n}", 2),
+        ("const int t[100000000000] = {1};\nint main() { return t[0]; }", 1),
+        // Each array fits alone; together they pass the cap.
+        ("int a[40000000];\nint b[40000000];\nint main() { return a[0] + b[0]; }", 2),
+    ];
+    for (src, line) in cases {
+        let e = catch_unwind(|| Compiler::new().compile(src).err())
+            .unwrap_or_else(|_| panic!("compile panicked on {src:?}"))
+            .unwrap_or_else(|| panic!("compiled: {src:?}"))
+            .to_string();
+        assert!(e.contains(&format!("line {line}: ")), "{src:?}: {e}");
+        assert!(e.contains("memory image"), "{src:?}: {e}");
+    }
+    // Below the cap, arrays still compile and run.
+    let p = Compiler::new().compile("int a[1000];\nint main() { a[999] = 7; return a[999]; }");
+    let r = p.unwrap().simulate(&[], &SimConfig::perfect()).unwrap();
+    assert_eq!(r.ret, Some(7));
+}

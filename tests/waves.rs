@@ -12,7 +12,7 @@
 //!    ```
 //!
 //! 2. **Additive capture.** Every suite kernel captures and renders, and
-//!    turning capture on leaves the simulated outcome untouched.
+//!    turning every collector on leaves the simulated outcome untouched.
 //!
 //! 3. **Checkpoint round-trips.** `Replay` restores executor snapshots
 //!    and re-executes; because delivery order is pinned to `(cycle, seq)`,
@@ -56,36 +56,54 @@ fn vcd_goldens_are_byte_stable() {
     }
 }
 
-/// Waves stay out of the stats record (and the goldens) unless asked
-/// for; with them on, every suite kernel captures and renders a VCD.
+/// Collectors observe the run without changing it. Every suite kernel
+/// runs with all collectors off (the bare executor) and with profile,
+/// trace, critpath and waves on (the observed executor), on 2-cycle
+/// memory and on 300-cycle memory, whose completions land past the event
+/// calendar's ring and take its overflow heap. The two runs must agree on
+/// the return value, cycles, firings, deferrals, memory statistics and
+/// the final memory image. Waves stay out of the stats record (and the
+/// goldens) unless asked for; with them on, every kernel renders a VCD.
 /// Reduced arguments keep the captures (every value change on every port)
 /// fast.
 #[test]
-fn waves_off_leaves_the_sim_record_unchanged() {
+fn collectors_leave_the_sim_record_unchanged() {
     let suite = workloads::suite();
     assert!(suite.len() >= 16, "suite shrank to {}", suite.len());
     cash::par::par_map(suite, |w| {
         let p = Compiler::new().level(OptLevel::Full).compile(w.source).unwrap();
         let arg = (w.default_arg / 4).max(1);
-        let run =
-            |cfg: &SimConfig| p.simulate(&[arg], cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let off = run(&perfect());
-        assert!(off.waves.is_none(), "{}", w.name);
-        assert!(!off.to_json().contains("\"waves\""), "{}", w.name);
-        let on = run(&perfect().with_waves(true));
-        assert!(on.to_json().contains("\"waves\":{\"signals\":"), "{}", w.name);
-        // The capture is additive: everything else is untouched.
-        assert_eq!(off.cycles, on.cycles, "{}: cycles", w.name);
-        assert_eq!(off.fired, on.fired, "{}: fired", w.name);
-        assert_eq!(off.ret, on.ret, "{}: ret", w.name);
-        let wave = on.waves.expect("waves enabled");
-        assert!(wave.num_changes() > 0, "{}: empty capture", w.name);
-        let vcd = wave.to_vcd(&p.graph);
-        assert!(
-            vcd.starts_with("$comment cash-wavecap-v1 $end") && vcd.contains("$enddefinitions"),
-            "{}: VCD did not render",
-            w.name
-        );
+        let run = |cfg: &SimConfig| {
+            let mut machine = p.machine(cfg.mem.clone());
+            let r = p
+                .simulate_on(&mut machine, &[arg], cfg)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            (r, machine.image().to_vec())
+        };
+        for latency in [2, 300] {
+            let bare = SimConfig { mem: MemSystem::Perfect { latency }, ..SimConfig::default() };
+            let all =
+                bare.clone().with_observability(true, true).with_critpath(true).with_waves(true);
+            let (off, off_image) = run(&bare);
+            let (on, on_image) = run(&all);
+            let what = format!("{} at latency {latency}", w.name);
+            assert!(off.waves.is_none() && off.profile.is_none() && off.crit.is_none(), "{what}");
+            assert!(!off.to_json().contains("\"waves\""), "{what}");
+            assert!(on.to_json().contains("\"waves\":{\"signals\":"), "{what}");
+            assert_eq!(off.ret, on.ret, "{what}: ret");
+            assert_eq!(off.cycles, on.cycles, "{what}: cycles");
+            assert_eq!(off.fired, on.fired, "{what}: fired");
+            assert_eq!(off.deferrals, on.deferrals, "{what}: deferrals");
+            assert_eq!(off.stats, on.stats, "{what}: memory stats");
+            assert!(off_image == on_image, "{what}: final memory image");
+            let wave = on.waves.expect("waves enabled");
+            assert!(wave.num_changes() > 0, "{what}: empty capture");
+            let vcd = wave.to_vcd(&p.graph);
+            assert!(
+                vcd.starts_with("$comment cash-wavecap-v1 $end") && vcd.contains("$enddefinitions"),
+                "{what}: VCD did not render"
+            );
+        }
     });
 }
 
