@@ -8,6 +8,7 @@
 //! heuristic of the paper.
 
 use cfgir::objects::ObjId;
+use fxmap::HashMap;
 use pegasus::{Graph, NodeKind, Src};
 use std::collections::BTreeMap;
 
@@ -121,11 +122,20 @@ impl Affine {
 /// through (addresses are computed in 64-bit in this compiler, with small
 /// 32-bit indices widened by the frontend).
 pub fn affine_of(g: &Graph, src: Src) -> Affine {
-    let mut memo: BTreeMap<Src, Affine> = BTreeMap::new();
-    affine_rec(g, src, &mut memo, 0)
+    affine_of_memo(g, src, &mut HashMap::default())
 }
 
-fn affine_rec(g: &Graph, src: Src, memo: &mut BTreeMap<Src, Affine>, depth: u32) -> Affine {
+/// [`affine_of`] with a memo shared across calls, for scans that need the
+/// forms of many addresses over common subexpressions. The memo is valid
+/// while the data edges feeding the memoized values are unchanged. A
+/// subexpression first reached past the depth cutoff stays opaque for
+/// later calls too; an opaque term only makes the form less precise, never
+/// wrong.
+pub(crate) fn affine_of_memo(g: &Graph, src: Src, memo: &mut HashMap<Src, Affine>) -> Affine {
+    affine_rec(g, src, memo, 0)
+}
+
+fn affine_rec(g: &Graph, src: Src, memo: &mut HashMap<Src, Affine>, depth: u32) -> Affine {
     if depth > 64 {
         return Affine::term(src);
     }

@@ -9,8 +9,8 @@
 //! accesses (the dependence-distance analysis behind loop decoupling).
 
 use crate::affine::{affine_of, Affine, Term};
+use fxmap::HashMap;
 use pegasus::{Graph, NodeId, NodeKind, Src, VClass};
-use std::collections::HashMap;
 
 /// The token ring of a single-hyperblock loop.
 #[derive(Debug, Clone)]
@@ -147,7 +147,7 @@ pub struct IndVars {
 /// Finds induction variables (and loop-invariant circulating values,
 /// reported with step 0) of loop hyperblock `hb`.
 pub fn find_ivs(g: &Graph, hb: u32) -> IndVars {
-    let mut steps = HashMap::new();
+    let mut steps = HashMap::default();
     'merges: for id in g.live_ids() {
         if g.hb(id) != hb {
             continue;
@@ -206,7 +206,7 @@ impl IvSubst {
     /// Builds the substitution context for loop hyperblock `hb`.
     pub fn new(g: &Graph, hb: u32) -> Self {
         let ivs = find_ivs(g, hb);
-        let mut entries = HashMap::new();
+        let mut entries = HashMap::default();
         for &m in ivs.steps.keys() {
             // Exactly one non-back input -> that is the entry value.
             let node = m.node;

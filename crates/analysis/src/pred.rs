@@ -10,8 +10,8 @@
 
 use bdd::{Bdd, BddManager};
 use cfgir::types::{BinOp, Type, UnOp};
+use fxmap::HashMap;
 use pegasus::{Graph, NodeKind, Src};
-use std::collections::HashMap;
 
 /// A memoized predicate-to-BDD translator for one graph.
 #[derive(Debug, Default)]
@@ -28,8 +28,8 @@ impl PredicateMap {
     pub fn new() -> Self {
         PredicateMap {
             mgr: BddManager::new(),
-            memo: HashMap::new(),
-            vars: HashMap::new(),
+            memo: HashMap::default(),
+            vars: HashMap::default(),
             next_var: 0,
         }
     }

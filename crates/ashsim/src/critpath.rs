@@ -413,7 +413,7 @@ mod tests {
 
     #[test]
     fn labels_are_stable_and_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = fxmap::HashSet::default();
         for c in EdgeClass::ALL {
             assert!(seen.insert(c.label()), "duplicate label {}", c.label());
             assert_eq!(EdgeClass::from_u8(c as u8), c);

@@ -5,7 +5,7 @@
 use cfgir::objects::{ObjId, ObjectKind};
 use cfgir::types::Type;
 use cfgir::Module;
-use std::collections::HashMap;
+use fxmap::HashMap;
 
 /// Parameters of the realistic memory hierarchy (defaults are the paper's:
 /// L1 8 KB / 2 cycles, L2 256 KB / 8 cycles, 72-cycle memory latency with
@@ -288,7 +288,7 @@ const BASE_ADDR: u64 = 0x1000;
 impl Machine {
     /// Lays out and initializes every concrete object of `module`.
     pub fn new(module: &Module, system: MemSystem) -> Self {
-        let mut layout = HashMap::new();
+        let mut layout = HashMap::default();
         let mut next = BASE_ADDR;
         for (i, obj) in module.objects.iter().enumerate() {
             match obj.kind {

@@ -35,7 +35,7 @@
 //! assert_eq!(nn, dm);
 //! ```
 
-use std::collections::HashMap;
+use fxmap::HashMap;
 use std::fmt;
 
 /// A handle to a BDD node owned by a [`BddManager`].
@@ -121,9 +121,9 @@ impl BddManager {
     pub fn new() -> Self {
         let mut m = BddManager {
             nodes: Vec::new(),
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            unique: HashMap::default(),
+            apply_cache: HashMap::default(),
+            not_cache: HashMap::default(),
         };
         // Slots 0 and 1 are the constants; give them sentinel nodes so that
         // node(ix) is always valid.
@@ -360,7 +360,7 @@ impl BddManager {
     pub fn support(&self, b: Bdd) -> Vec<Var> {
         let mut seen = std::collections::BTreeSet::new();
         let mut stack = vec![b];
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = fxmap::HashSet::default();
         while let Some(x) = stack.pop() {
             if x.is_const() || !visited.insert(x) {
                 continue;

@@ -12,7 +12,7 @@
 //! fixed key order, no whitespace, no string escapes in the keyed fields —
 //! not a general JSON reader (the container vendors no serde).
 
-use std::collections::HashMap;
+use fxmap::HashMap;
 use std::fmt::Write;
 
 /// One comparable row extracted from a stats line.
@@ -370,7 +370,7 @@ pub fn history_record(text: &str) -> Option<String> {
 /// changed); wall time is machine noise unless it trends.
 pub fn history_trend(text: &str) -> String {
     let mut order: Vec<String> = Vec::new();
-    let mut by: HashMap<String, Vec<(String, u64, u64)>> = HashMap::new();
+    let mut by: HashMap<String, Vec<(String, u64, u64)>> = HashMap::default();
     for line in text.lines() {
         if field_str(line, "schema") != Some("cash-bench-history-v1") {
             continue;

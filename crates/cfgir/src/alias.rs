@@ -10,7 +10,7 @@
 
 use crate::objects::{ObjId, ObjectKind, ObjectSet};
 use crate::{Module, PragmaIndependent};
-use std::collections::HashSet;
+use fxmap::HashSet;
 
 /// Answers may-alias queries about the objects of one module, with the
 /// module's pragma annotations folded in.
@@ -26,7 +26,7 @@ impl<'m> AliasOracle<'m> {
     /// ParamPtr objects of the named function. Pragmas naming unknown
     /// functions or parameters are ignored (they guarantee nothing).
     pub fn new(module: &'m Module) -> Self {
-        let mut independent = HashSet::new();
+        let mut independent = HashSet::default();
         for PragmaIndependent { function, ptrs } in &module.pragmas {
             let a = find_param_obj(module, function, &ptrs.0);
             let b = find_param_obj(module, function, &ptrs.1);

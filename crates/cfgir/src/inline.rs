@@ -7,7 +7,7 @@
 
 use crate::func::{BlockId, Function, Instr, Reg, Terminator};
 use crate::Module;
-use std::collections::{HashMap, HashSet};
+use fxmap::{HashMap, HashSet};
 use std::fmt;
 
 /// Errors produced while flattening the call tree.
@@ -95,7 +95,7 @@ fn check_acyclic(module: &Module, entry: &str) -> Result<(), InlineError> {
         done.insert(name.to_string());
         Ok(())
     }
-    visit(module, entry, &mut HashSet::new(), &mut HashSet::new())
+    visit(module, entry, &mut HashSet::default(), &mut HashSet::default())
 }
 
 /// Inlines the call at `(bid, pos)` in `f`.
@@ -122,7 +122,7 @@ fn inline_one(
     }
 
     // Map callee registers into fresh caller registers.
-    let mut reg_map: HashMap<Reg, Reg> = HashMap::new();
+    let mut reg_map: HashMap<Reg, Reg> = HashMap::default();
     for (i, ty) in callee.reg_ty.iter().enumerate() {
         let nr = f.new_reg(ty.clone());
         if let Some(n) = &callee.reg_name[i] {

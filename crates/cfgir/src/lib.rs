@@ -38,7 +38,7 @@ pub use loops::{Loop, LoopForest};
 pub use objects::{MemObject, ObjId, ObjectKind, ObjectSet};
 pub use types::{BinOp, Type, UnOp};
 
-use std::collections::HashMap;
+use fxmap::HashMap;
 use std::fmt;
 
 /// A whole translation unit: global memory objects plus functions.

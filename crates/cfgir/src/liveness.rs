@@ -2,7 +2,7 @@
 
 use crate::func::{BlockId, Function, Terminator};
 use crate::Reg;
-use std::collections::HashSet;
+use fxmap::HashSet;
 
 /// Per-block live-in/live-out register sets.
 #[derive(Debug, Clone)]
@@ -17,15 +17,15 @@ impl Liveness {
     /// Computes liveness for `f` with the usual backward fixpoint.
     pub fn compute(f: &Function) -> Self {
         let n = f.num_blocks();
-        let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+        let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::default(); n];
+        let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::default(); n];
         let mut changed = true;
         while changed {
             changed = false;
             // Reverse RPO ≈ postorder gives fast convergence.
             for &b in f.reverse_postorder().iter().rev() {
                 let blk = f.block(b);
-                let mut out: HashSet<Reg> = HashSet::new();
+                let mut out: HashSet<Reg> = HashSet::default();
                 for s in blk.term.successors() {
                     out.extend(live_in[s.index()].iter().copied());
                 }

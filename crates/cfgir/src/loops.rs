@@ -2,7 +2,7 @@
 
 use crate::dom::DomTree;
 use crate::func::{BlockId, Function};
-use std::collections::HashSet;
+use fxmap::HashSet;
 
 /// One natural loop.
 #[derive(Debug, Clone)]
@@ -56,7 +56,7 @@ impl LoopForest {
                     } else {
                         loops.push(Loop {
                             header: s,
-                            body: HashSet::new(),
+                            body: HashSet::default(),
                             latches: vec![b.id],
                             exiting: Vec::new(),
                             depth: 0,

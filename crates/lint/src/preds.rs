@@ -12,8 +12,8 @@
 
 use bdd::{Bdd, BddManager};
 use cfgir::types::{BinOp, Type, UnOp};
+use fxmap::{HashMap, HashSet};
 use pegasus::{Graph, NodeKind, Src};
-use std::collections::{HashMap, HashSet};
 
 pub(crate) struct PredBdds {
     pub mgr: BddManager,
@@ -28,8 +28,8 @@ impl PredBdds {
         PredBdds {
             mgr: BddManager::new(),
             fold_carriers,
-            memo: HashMap::new(),
-            vars: HashMap::new(),
+            memo: HashMap::default(),
+            vars: HashMap::default(),
             next_var: 0,
         }
     }
@@ -50,7 +50,7 @@ impl PredBdds {
         }
         let b = if src.port != 0 {
             self.leaf(src)
-        } else if self.fold_carriers && carries_true(g, src, &mut HashSet::new()) {
+        } else if self.fold_carriers && carries_true(g, src, &mut HashSet::default()) {
             Bdd::TRUE
         } else {
             match g.kind(src.node) {

@@ -23,8 +23,8 @@
 use crate::preds::PredBdds;
 use crate::{LintDiag, Rule};
 use bdd::Bdd;
+use fxmap::HashMap;
 use pegasus::{topo_order, Graph, NodeId, NodeKind, Src};
-use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rate {
@@ -41,7 +41,7 @@ pub(crate) fn check(g: &Graph, diags: &mut Vec<LintDiag>) {
     // Filters must keep activations opaque: an eta gated on an activation
     // still delivers once per wave, unlike a per-execution entry steer.
     let mut pm = PredBdds::new(false);
-    let mut rates: HashMap<Src, Rate> = HashMap::new();
+    let mut rates: HashMap<Src, Rate> = HashMap::default();
     for id in topo_order(g) {
         match g.kind(id) {
             NodeKind::Removed => {}

@@ -3,13 +3,11 @@
 
 use crate::preds::PredBdds;
 use crate::{LintConfig, LintDiag, Rule};
-use analysis::affine::affine_of;
-use analysis::loopinfo::IvSubst;
-use analysis::may_overlap;
+use analysis::{provably_disjoint, AddrForms, Disambiguation};
 use bdd::Bdd;
 use cfgir::AliasOracle;
+use fxmap::{HashMap, HashSet};
 use pegasus::{direct_token_deps, token_path, Graph, NodeId, NodeKind, Src, VClass};
-use std::collections::{HashMap, HashSet};
 
 pub(crate) fn check(
     g: &Graph,
@@ -44,7 +42,7 @@ fn sup(supplied: &HashSet<Src>, g: &Graph, id: NodeId, port: u16) -> bool {
 /// is its own back edge stays unsupplied: the least fixpoint never admits
 /// a cycle with no externally supplied entry.
 fn reachability(g: &Graph, diags: &mut Vec<LintDiag>) {
-    let mut supplied: HashSet<Src> = HashSet::new();
+    let mut supplied: HashSet<Src> = HashSet::default();
     let mut changed = true;
     while changed {
         changed = false;
@@ -127,22 +125,19 @@ fn redundancy(g: &Graph, diags: &mut Vec<LintDiag>) {
 /// Every unordered pair of may-aliasing memory operations (at least one a
 /// store) must either have provably disjoint predicates (they can never
 /// both fire — the builder leaves opposite branch arms unordered on this
-/// ground) or be provably address-disjoint, using the same proof
-/// obligations the optimizer's edge removal uses — otherwise the token
+/// ground) or be provably address-disjoint by the optimizer's own
+/// [`provably_disjoint`] with every heuristic on — otherwise the token
 /// network has lost an ordering the language semantics requires.
 fn races(g: &Graph, oracle: &AliasOracle<'_>, diags: &mut Vec<LintDiag>) {
     let mems = mem_ops(g);
     if mems.len() < 2 {
         return;
     }
-    let mut iv_ctx: HashMap<u32, IvSubst> = HashMap::new();
-    for hb in 0..g.num_hbs {
-        if g.hb_is_loop.get(hb as usize).copied().unwrap_or(false) {
-            iv_ctx.insert(hb, IvSubst::new(g, hb));
-        }
-    }
+    let dis = Disambiguation::full();
+    // The lint only reads the graph, so one address table serves the scan.
+    let forms = AddrForms::new(g, &mems, &dis);
     let mut pm = PredBdds::new(false);
-    let mut ctx_memo: HashMap<Src, Bdd> = HashMap::new();
+    let mut ctx_memo: HashMap<Src, Bdd> = HashMap::default();
     let preds: HashMap<NodeId, Bdd> = mems
         .iter()
         .map(|&m| {
@@ -162,7 +157,7 @@ fn races(g: &Graph, oracle: &AliasOracle<'_>, diags: &mut Vec<LintDiag>) {
         for &b in &mems[i + 1..] {
             let both_loads = matches!(g.kind(a), NodeKind::Load { .. })
                 && matches!(g.kind(b), NodeKind::Load { .. });
-            if both_loads || provably_disjoint(g, oracle, &iv_ctx, a, b) {
+            if both_loads || provably_disjoint(g, oracle, &dis, &forms, a, b) {
                 continue;
             }
             if pm.mgr.disjoint(preds[&a], preds[&b]) {
@@ -235,51 +230,6 @@ fn token_ctx(g: &Graph, pm: &mut PredBdds, memo: &mut HashMap<Src, Bdd>, src: Sr
     b
 }
 
-fn addr_of(g: &Graph, op: NodeId) -> Src {
-    g.input(op, 0).expect("memory op has an address").src
-}
-
-fn size_of(g: &Graph, op: NodeId) -> u64 {
-    match g.kind(op) {
-        NodeKind::Load { ty, .. } | NodeKind::Store { ty, .. } => ty.size_bytes(),
-        _ => unreachable!("not a memory op"),
-    }
-}
-
-/// The optimizer's three disambiguation heuristics (§4.3), re-proved
-/// read-only: read/write-set disjointness, symbolic address overlap, and
-/// same-loop induction-variable substitution (same-wave disjointness; wave
-/// ordering itself is the ring's — or, when decoupled, the token
-/// generator's — responsibility, mirroring the decoupling legality rule).
-fn provably_disjoint(
-    g: &Graph,
-    oracle: &AliasOracle<'_>,
-    iv_ctx: &HashMap<u32, IvSubst>,
-    a: NodeId,
-    b: NodeId,
-) -> bool {
-    let ma = g.kind(a).may_set().expect("memory op");
-    let mb = g.kind(b).may_set().expect("memory op");
-    if !oracle.sets_overlap(ma, mb) {
-        return true;
-    }
-    let fa = affine_of(g, addr_of(g, a));
-    let fb = affine_of(g, addr_of(g, b));
-    if !may_overlap(&fa, size_of(g, a), &fb, size_of(g, b)) {
-        return true;
-    }
-    if g.hb(a) == g.hb(b) {
-        if let Some(ctx) = iv_ctx.get(&g.hb(a)) {
-            if let (Some((sa, ia)), Some((sb, ib))) = (ctx.substitute(&fa), ctx.substitute(&fb)) {
-                if ia == ib && !may_overlap(&sa, size_of(g, a), &sb, size_of(g, b)) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Memory operations ordered *after* `from` by the token network: forward
 /// reachability through combines, token merges/etas and other memory ops.
 /// A path through a token generator does NOT order — it emits ahead of its
@@ -290,8 +240,8 @@ fn token_successors(g: &Graph, from: NodeId) -> HashSet<NodeId> {
         NodeKind::Load { .. } => Src::token_of_load(from),
         _ => Src::of(from),
     };
-    let mut seen: HashSet<Src> = HashSet::new();
-    let mut out: HashSet<NodeId> = HashSet::new();
+    let mut seen: HashSet<Src> = HashSet::default();
+    let mut out: HashSet<NodeId> = HashSet::default();
     let mut work = vec![start];
     while let Some(s) = work.pop() {
         if !seen.insert(s) {

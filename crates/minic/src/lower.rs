@@ -12,7 +12,7 @@ use cfgir::objects::{array_bytes, MemObject, ObjId, ObjectSet, MAX_IMAGE_BYTES};
 use cfgir::pointsto::recompute_may_sets;
 use cfgir::types::{BinOp, Type, UnOp};
 use cfgir::{Module, PragmaIndependent};
-use std::collections::{HashMap, HashSet};
+use fxmap::{HashMap, HashSet};
 use std::fmt;
 
 /// A semantic error with its source line.
@@ -72,7 +72,7 @@ fn conv(ty: &Ty) -> Type {
 /// unsupported constructs).
 pub fn lower(program: &Program) -> Result<Module, LowerError> {
     let mut module = Module::new();
-    let mut globals: HashMap<String, GSym> = HashMap::new();
+    let mut globals: HashMap<String, GSym> = HashMap::default();
 
     for g in program.globals() {
         if globals.contains_key(&g.name) {
@@ -96,7 +96,7 @@ pub fn lower(program: &Program) -> Result<Module, LowerError> {
     }
 
     // Function signatures for call typing.
-    let mut sigs: HashMap<String, (Type, Vec<Type>)> = HashMap::new();
+    let mut sigs: HashMap<String, (Type, Vec<Type>)> = HashMap::default();
     for f in program.functions() {
         if sigs.contains_key(&f.name) {
             return err(f.line, format!("duplicate function `{}`", f.name));
@@ -152,7 +152,7 @@ impl<'a> FnLower<'a> {
     ) -> Result<Function, LowerError> {
         let addr_taken = self::addr_taken(decl);
         let mut f = Function::new(decl.name.clone(), conv(&decl.ret));
-        let mut scope = HashMap::new();
+        let mut scope = HashMap::default();
         for p in &decl.params {
             let ty = conv(&p.ty);
             let r = if let Type::Ptr(inner) = &ty {
@@ -603,7 +603,7 @@ impl<'a> FnLower<'a> {
                 Ok(())
             }
             Stmt::Block(stmts) => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push(HashMap::default());
                 for st in stmts {
                     self.stmt(st)?;
                 }
@@ -668,7 +668,7 @@ impl<'a> FnLower<'a> {
                 Ok(())
             }
             Stmt::For { init, cond, step, body } => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push(HashMap::default());
                 if let Some(i) = init {
                     self.stmt(i)?;
                 }
@@ -835,7 +835,7 @@ fn conv_bin(op: Bin) -> BinOp {
 /// memory rather than registers. Public so an independent executable
 /// semantics (the reference interpreter) classifies locals identically.
 pub fn addr_taken(f: &FuncDecl) -> HashSet<String> {
-    let mut out = HashSet::new();
+    let mut out = HashSet::default();
     for s in &f.body {
         collect_addr_taken_stmt(s, &mut out);
     }

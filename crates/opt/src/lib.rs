@@ -31,5 +31,5 @@ pub mod util;
 #[cfg(test)]
 mod testutil;
 
+pub use analysis::Disambiguation;
 pub use manager::{lint_config, optimize, OptConfig, OptLevel, OptReport, PassStat};
-pub use token_removal::Disambiguation;

@@ -26,7 +26,7 @@ pub struct LoadStoreStats {
 /// Applies load-after-store forwarding everywhere it fires.
 pub fn load_after_store(g: &mut Graph, pm: &mut PredicateMap) -> LoadStoreStats {
     let mut stats = LoadStoreStats::default();
-    let mut done: std::collections::HashSet<pegasus::NodeId> = std::collections::HashSet::new();
+    let mut done: fxmap::HashSet<pegasus::NodeId> = fxmap::HashSet::default();
     loop {
         let mut changed = false;
         'outer: for l in mem_ops(g) {

@@ -14,8 +14,8 @@ use crate::merge_ops::merge_equivalent;
 use crate::pipeline::{pipeline_loops, PipelineConfig};
 use crate::scalar::simplify;
 use crate::store_store::store_before_store;
-use crate::token_removal::{fold_immutable_loads, remove_token_edges, Disambiguation};
-use analysis::PredicateMap;
+use crate::token_removal::{fold_immutable_loads, remove_token_edges};
+use analysis::{Disambiguation, PredicateMap};
 use cfgir::AliasOracle;
 use pegasus::Graph;
 use std::fmt;
@@ -346,6 +346,8 @@ fn reduction(before: usize, after: usize) -> f64 {
 /// suppressed so the differential harness gets to observe the fault).
 struct Ctl<'a, 'm> {
     passes: Vec<PassStat>,
+    /// The graph's shape after the last invocation, if one ran.
+    shape: Option<Shape>,
     remaining: Option<usize>,
     sabotage: Option<&'static str>,
     sabotaged: bool,
@@ -353,6 +355,14 @@ struct Ctl<'a, 'm> {
     // Only the debug_assertions per-pass lint reads this flag.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     lint: bool,
+}
+
+/// Live nodes, connected edges and token edges: the graph shape a
+/// [`PassStat`] records before and after each invocation.
+type Shape = (usize, usize, usize);
+
+fn shape(g: &Graph) -> Shape {
+    (g.live_count(), g.count_edges(), g.count_token_edges())
 }
 
 /// The lint configuration for mid-pipeline graphs: no redundancy check
@@ -415,9 +425,11 @@ fn timed(
         Some(ref mut n) => *n -= 1,
         None => {}
     }
-    let nodes = g.live_count();
-    let edges = g.count_edges();
-    let token_edges = g.count_token_edges();
+    // Nothing touches the graph between two invocations (sabotage runs
+    // before the "after" count), so the previous invocation's "after" shape
+    // is this one's "before".
+    let before = ctl.shape.take().unwrap_or_else(|| shape(g));
+    debug_assert_eq!(before, shape(g), "the graph changed between pass invocations");
     let sp = obs::span::enter(span_name(name));
     let rewrites = f(g);
     let wall_micros = sp.end_us();
@@ -429,14 +441,16 @@ fn timed(
         ctl.sabotaged = true;
         sabotage_rewrite(g, name, ctl.oracle);
     }
+    let after = shape(g);
+    ctl.shape = Some(after);
     ctl.passes.push(PassStat {
         name,
         round,
         wall_micros,
         rewrites,
-        nodes: (nodes, g.live_count()),
-        edges: (edges, g.count_edges()),
-        token_edges: (token_edges, g.count_token_edges()),
+        nodes: (before.0, after.0),
+        edges: (before.1, after.1),
+        token_edges: (before.2, after.2),
     });
     #[cfg(debug_assertions)]
     if ctl.lint && !ctl.sabotaged {
@@ -544,6 +558,7 @@ pub fn optimize(g: &mut Graph, oracle: &AliasOracle<'_>, cfg: &OptConfig) -> Opt
     let mut report = OptReport { static_before: g.count_memory_ops(), ..OptReport::default() };
     let mut ctl = Ctl {
         passes: Vec::new(),
+        shape: None,
         remaining: cfg.pass_limit,
         sabotage: cfg.sabotage,
         sabotaged: false,

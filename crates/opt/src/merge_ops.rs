@@ -9,10 +9,14 @@
 //! reachability query on the DAG.
 
 use crate::store_store::reaches_forward;
-use crate::util::{addr_of, mem_ops, pred_of, pred_port, size_of, token_out};
-use analysis::affine::{affine_of, always_equal};
-use analysis::PredicateMap;
+use crate::util::{mem_ops, pred_of, pred_port, size_of, token_out};
+use analysis::affine::always_equal;
+use analysis::{AddrForms, Disambiguation, PredicateMap};
 use pegasus::{direct_token_deps, Graph, NodeId, NodeKind, Src};
+
+/// The address table reads only the affine forms.
+const ADDRESSES: Disambiguation =
+    Disambiguation { symbolic: true, induction: false, rw_sets: false };
 
 /// Result counts of one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,6 +39,8 @@ pub fn merge_equivalent(g: &mut Graph, pm: &mut PredicateMap) -> MergeStats {
     let mut stats = MergeStats::default();
     loop {
         let ops = mem_ops(g);
+        // Each merge rewires data edges, so the table is rebuilt after it.
+        let forms = AddrForms::new(g, &ops, &ADDRESSES);
         let mut merged = false;
         'pairs: for (i, &a) in ops.iter().enumerate() {
             for &b in &ops[i + 1..] {
@@ -52,9 +58,7 @@ pub fn merge_equivalent(g: &mut Graph, pm: &mut PredicateMap) -> MergeStats {
                 if g.hb(a) != g.hb(b) || size_of(g, a) != size_of(g, b) {
                     continue;
                 }
-                let fa = affine_of(g, addr_of(g, a));
-                let fb = affine_of(g, addr_of(g, b));
-                if !always_equal(&fa, &fb) {
+                if !always_equal(forms.affine(a), forms.affine(b)) {
                     continue;
                 }
                 if sorted_deps(g, a) != sorted_deps(g, b) {

@@ -26,8 +26,8 @@ use analysis::affine::{affine_of, Affine};
 use analysis::loopinfo::{
     find_activation, find_ivs, find_token_ring, iteration_conflict, Conflict,
 };
+use fxmap::HashMap;
 use pegasus::{direct_token_deps, set_token_input, Graph, NodeId, NodeKind, Src, VClass};
-use std::collections::HashMap;
 
 /// Which of the §6 transformations are enabled.
 #[derive(Debug, Clone, Copy)]
@@ -122,7 +122,7 @@ fn pipeline_one(g: &mut Graph, hb: u32, cfg: PipelineConfig) -> Option<PipelineS
     }
     // The ring must be self-contained: every op's token deps are either the
     // ring merge or other ops of this hyperblock.
-    let mut deps_of: HashMap<NodeId, Vec<Src>> = HashMap::new();
+    let mut deps_of: HashMap<NodeId, Vec<Src>> = HashMap::default();
     for &op in &ops {
         let deps = direct_token_deps(g, op);
         for d in &deps {
@@ -207,7 +207,7 @@ fn pipeline_one(g: &mut Graph, hb: u32, cfg: PipelineConfig) -> Option<PipelineS
     let mut comp_of = vec![0usize; n];
     let mut comps: Vec<Vec<usize>> = Vec::new();
     {
-        let mut map: HashMap<usize, usize> = HashMap::new();
+        let mut map: HashMap<usize, usize> = HashMap::default();
         for (i, slot) in comp_of.iter_mut().enumerate() {
             let r = uf.find(i);
             let c = *map.entry(r).or_insert_with(|| {
@@ -226,7 +226,7 @@ fn pipeline_one(g: &mut Graph, hb: u32, cfg: PipelineConfig) -> Option<PipelineS
         }
     }
     // Intra-component distance conflicts also force serialization.
-    let mut cross: HashMap<(usize, usize), i64> = HashMap::new();
+    let mut cross: HashMap<(usize, usize), i64> = HashMap::default();
     for &(i, j, d) in &dist_edges {
         let (ci, cj) = (comp_of[i], comp_of[j]);
         if ci == cj {
@@ -457,7 +457,8 @@ fn find_cycle_pair(nc: usize, edges: &HashMap<(usize, usize), i64>) -> Option<(u
 mod tests {
     use super::*;
     use crate::testutil::{assert_equivalent, compile_rw, run};
-    use crate::token_removal::{remove_token_edges, Disambiguation};
+    use crate::token_removal::remove_token_edges;
+    use crate::Disambiguation;
     use cfgir::AliasOracle;
 
     /// Prepares a graph the way the manager would: build with rw sets, then

@@ -7,8 +7,8 @@
 //! shared address subexpressions make `same address` checks syntactic.
 
 use cfgir::types::{BinOp, Type, UnOp};
+use fxmap::HashMap;
 use pegasus::{Graph, NodeId, NodeKind, Src};
-use std::collections::HashMap;
 
 /// Runs constant folding + algebraic identities + CSE to a fixpoint.
 /// Returns the number of rewrites applied.
@@ -38,7 +38,7 @@ fn const_value(g: &Graph, src: Src) -> Option<i64> {
 fn fold_constants(g: &mut Graph) -> usize {
     let mut n = 0;
     for id in g.ids().collect::<Vec<_>>() {
-        let folded = match g.kind(id).clone() {
+        let folded = match g.kind(id) {
             NodeKind::BinOp { op, ty } => {
                 let a = g.input(id, 0).and_then(|i| const_value(g, i.src));
                 let b = g.input(id, 1).and_then(|i| const_value(g, i.src));
@@ -48,17 +48,19 @@ fn fold_constants(g: &mut Graph) -> usize {
                     // constant must be Bool or its class flips Pred -> Data.
                     (Some(a), Some(b)) => {
                         let out_ty = if op.is_comparison() { Type::Bool } else { ty.clone() };
-                        Some((op.eval(&ty, a, b), out_ty))
+                        Some((op.eval(ty, a, b), out_ty))
                     }
                     _ => None,
                 }
             }
-            NodeKind::UnOp { op, ty } => {
-                g.input(id, 0).and_then(|i| const_value(g, i.src)).map(|a| (op.eval(&ty, a), ty))
-            }
-            NodeKind::Cast { ty } => {
-                g.input(id, 0).and_then(|i| const_value(g, i.src)).map(|a| (ty.normalize(a), ty))
-            }
+            NodeKind::UnOp { op, ty } => g
+                .input(id, 0)
+                .and_then(|i| const_value(g, i.src))
+                .map(|a| (op.eval(ty, a), ty.clone())),
+            NodeKind::Cast { ty } => g
+                .input(id, 0)
+                .and_then(|i| const_value(g, i.src))
+                .map(|a| (ty.normalize(a), ty.clone())),
             _ => None,
         };
         if let Some((v, ty)) = folded {
@@ -82,8 +84,9 @@ fn algebraic(g: &mut Graph) -> usize {
         if !g.has_uses(id, 0) {
             continue;
         }
-        let replacement: Option<Src> = match g.kind(id).clone() {
+        let replacement: Option<Src> = match g.kind(id) {
             NodeKind::BinOp { op, ty } => {
+                let (op, is_bool) = (*op, *ty == Type::Bool);
                 let ia = g.input(id, 0).map(|i| i.src);
                 let ib = g.input(id, 1).map(|i| i.src);
                 let (Some(a), Some(b)) = (ia, ib) else { continue };
@@ -91,23 +94,23 @@ fn algebraic(g: &mut Graph) -> usize {
                 let cb = const_value(g, b);
                 match op {
                     BinOp::Add | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
-                        if cb == Some(0) && ty != Type::Bool =>
+                        if cb == Some(0) && !is_bool =>
                     {
                         Some(a)
                     }
-                    BinOp::Add if ca == Some(0) && ty != Type::Bool => Some(b),
+                    BinOp::Add if ca == Some(0) && !is_bool => Some(b),
                     BinOp::Sub if cb == Some(0) => Some(a),
                     BinOp::Mul if cb == Some(1) => Some(a),
                     BinOp::Mul if ca == Some(1) => Some(b),
-                    BinOp::And if ty == Type::Bool && cb == Some(1) => Some(a),
-                    BinOp::And if ty == Type::Bool && ca == Some(1) => Some(b),
-                    BinOp::And if ty == Type::Bool && (ca == Some(0) || cb == Some(0)) => {
+                    BinOp::And if is_bool && cb == Some(1) => Some(a),
+                    BinOp::And if is_bool && ca == Some(1) => Some(b),
+                    BinOp::And if is_bool && (ca == Some(0) || cb == Some(0)) => {
                         let hb = g.hb(id);
                         Some(Src::of(g.const_bool(false, hb)))
                     }
-                    BinOp::Or if ty == Type::Bool && cb == Some(0) => Some(a),
-                    BinOp::Or if ty == Type::Bool && ca == Some(0) => Some(b),
-                    BinOp::Or if ty == Type::Bool && (ca == Some(1) || cb == Some(1)) => {
+                    BinOp::Or if is_bool && cb == Some(0) => Some(a),
+                    BinOp::Or if is_bool && ca == Some(0) => Some(b),
+                    BinOp::Or if is_bool && (ca == Some(1) || cb == Some(1)) => {
                         let hb = g.hb(id);
                         Some(Src::of(g.const_bool(true, hb)))
                     }
@@ -124,7 +127,7 @@ fn algebraic(g: &mut Graph) -> usize {
                     _ => None,
                 }
             }
-            NodeKind::Mux { ty } => {
+            NodeKind::Mux { .. } => {
                 // Drop constant-false ways; collapse when a way is
                 // constant-true or only one way remains.
                 let nin = g.num_inputs(id);
@@ -150,7 +153,7 @@ fn algebraic(g: &mut Graph) -> usize {
                     Some(ways[0].1)
                 } else if changed && ways.len() >= 2 {
                     let hb = g.hb(id);
-                    let m = g.add_node(NodeKind::Mux { ty }, ways.len() * 2, hb);
+                    let m = g.add_node(g.kind(id).clone(), ways.len() * 2, hb);
                     for (i, (p, v)) in ways.iter().enumerate() {
                         g.connect(*p, m, (2 * i) as u16);
                         g.connect(*v, m, (2 * i + 1) as u16);
@@ -196,13 +199,13 @@ fn cse(g: &mut Graph) -> usize {
         Un(UnOp, Type, Src, u32),
         Kast(Type, Src, u32),
     }
-    let mut seen: HashMap<Key, NodeId> = HashMap::new();
+    let mut seen: HashMap<Key, NodeId> = HashMap::default();
     let mut n = 0;
     for id in pegasus::topo_order(g) {
-        let key = match g.kind(id).clone() {
-            NodeKind::Const { value, ty } => Key::Konst(ty.normalize(value), ty),
-            NodeKind::Addr { obj } => Key::Address(obj),
-            NodeKind::Param { index, .. } => Key::Parameter(index),
+        let key = match g.kind(id) {
+            NodeKind::Const { value, ty } => Key::Konst(ty.normalize(*value), ty.clone()),
+            NodeKind::Addr { obj } => Key::Address(*obj),
+            NodeKind::Param { index, .. } => Key::Parameter(*index),
             NodeKind::BinOp { op, ty } => {
                 let (Some(a), Some(b)) = (g.input(id, 0), g.input(id, 1)) else { continue };
                 if a.back || b.back {
@@ -214,21 +217,21 @@ fn cse(g: &mut Graph) -> usize {
                 } else {
                     (a.src, b.src)
                 };
-                Key::Bin(op, ty, x, y, g.hb(id))
+                Key::Bin(*op, ty.clone(), x, y, g.hb(id))
             }
             NodeKind::UnOp { op, ty } => {
                 let Some(a) = g.input(id, 0) else { continue };
                 if a.back {
                     continue;
                 }
-                Key::Un(op, ty, a.src, g.hb(id))
+                Key::Un(*op, ty.clone(), a.src, g.hb(id))
             }
             NodeKind::Cast { ty } => {
                 let Some(a) = g.input(id, 0) else { continue };
                 if a.back {
                     continue;
                 }
-                Key::Kast(ty, a.src, g.hb(id))
+                Key::Kast(ty.clone(), a.src, g.hb(id))
             }
             _ => continue,
         };

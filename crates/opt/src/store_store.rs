@@ -29,7 +29,7 @@ pub struct StoreStoreStats {
 pub(crate) fn reaches_forward(g: &Graph, from: NodeId, to: NodeId) -> bool {
     let mut fuel = 50_000;
     let mut stack = vec![from];
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = fxmap::HashSet::default();
     while let Some(n) = stack.pop() {
         if fuel == 0 {
             return true; // conservative

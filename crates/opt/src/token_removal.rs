@@ -2,109 +2,38 @@
 //!
 //! For every pair of directly synchronized memory operations the compiler
 //! tries to prove the two can never touch the same address, using the
-//! paper's three heuristics:
-//!
-//! 1. symbolic address computation (`a[i]` vs `a[i+1]`);
-//! 2. induction-variable analysis (same step, provably different values);
-//! 3. pointer analysis / read-write set disjointness (`a[...]` vs `b[...]`,
-//!    `#pragma independent`).
+//! paper's three heuristics ([`analysis::provably_disjoint`]).
 //!
 //! Removing an edge must preserve the transitive closure of the remaining
 //! token graph, so a removed producer is replaced by *its* producers
 //! (Figure 5), after which the graph is re-reduced (§3.4).
 
-use crate::util::{addr_of, bypass_token, mem_ops, size_of};
-use analysis::affine::{affine_of, may_overlap, Term};
-use analysis::loopinfo::IvSubst;
+use crate::util::{addr_of, bypass_token, mem_ops};
+use analysis::affine::{affine_of, Term};
+use analysis::{provably_disjoint, AddrForms, Disambiguation};
 use cfgir::objects::ObjectKind;
 use cfgir::AliasOracle;
 use pegasus::{direct_token_deps, set_token_input, Graph, NodeId, NodeKind, Src};
-use std::collections::HashMap;
-
-/// Which disambiguation heuristics to use.
-#[derive(Debug, Clone, Copy)]
-pub struct Disambiguation {
-    /// Symbolic address computation (§4.3 heuristic 1).
-    pub symbolic: bool,
-    /// Induction-variable entry-value substitution (§4.3 heuristic 2).
-    pub induction: bool,
-    /// Read/write-set (pointer analysis + pragma) disjointness (heuristic 3).
-    pub rw_sets: bool,
-}
-
-impl Disambiguation {
-    /// All heuristics on.
-    pub fn full() -> Self {
-        Disambiguation { symbolic: true, induction: true, rw_sets: true }
-    }
-
-    /// Everything off (no token edges removed).
-    pub fn none() -> Self {
-        Disambiguation { symbolic: false, induction: false, rw_sets: false }
-    }
-}
-
-/// Are the two accesses provably never at overlapping addresses *in the
-/// same wave of execution*?
-fn provably_disjoint(
-    g: &Graph,
-    oracle: &AliasOracle<'_>,
-    dis: &Disambiguation,
-    iv_ctx: &HashMap<u32, IvSubst>,
-    a: NodeId,
-    b: NodeId,
-) -> bool {
-    // Heuristic 3: disjoint read/write sets.
-    if dis.rw_sets {
-        let ma = g.kind(a).may_set().expect("memory op");
-        let mb = g.kind(b).may_set().expect("memory op");
-        if !oracle.sets_overlap(ma, mb) {
-            return true;
-        }
-    }
-    if dis.symbolic {
-        let fa = affine_of(g, addr_of(g, a));
-        let fb = affine_of(g, addr_of(g, b));
-        if !may_overlap(&fa, size_of(g, a), &fb, size_of(g, b)) {
-            return true;
-        }
-        // Heuristic 2: substitute induction variables by entry + step·i.
-        if dis.induction && g.hb(a) == g.hb(b) {
-            if let Some(ctx) = iv_ctx.get(&g.hb(a)) {
-                if let (Some((sa, ia)), Some((sb, ib))) = (ctx.substitute(&fa), ctx.substitute(&fb))
-                {
-                    if ia == ib && !may_overlap(&sa, size_of(g, a), &sb, size_of(g, b)) {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    false
-}
 
 /// Removes provably unnecessary token edges. Returns the number of direct
 /// dependences dissolved.
 pub fn remove_token_edges(g: &mut Graph, oracle: &AliasOracle<'_>, dis: Disambiguation) -> usize {
-    let mut iv_ctx: HashMap<u32, IvSubst> = HashMap::new();
-    for hb in 0..g.num_hbs {
-        if g.hb_is_loop.get(hb as usize).copied().unwrap_or(false) {
-            iv_ctx.insert(hb, IvSubst::new(g, hb));
-        }
-    }
+    let mems = mem_ops(g);
+    // Token rewiring below never touches an address data edge, so the
+    // forms stay valid for the whole pass.
+    let forms = AddrForms::new(g, &mems, &dis);
     // Record the orderings the token network must keep: every pair of
     // conflicting operations (not provably disjoint under the enabled
     // heuristics) that is ordered now must still be ordered afterwards.
     // Figure 5's inheritance preserves the closure between an operation
     // and its *producers*, but dissolving a middle operation can carry
     // away the only path between two operations that still conflict.
-    let mems = mem_ops(g);
     let mut must_keep: Vec<(NodeId, NodeId)> = Vec::new();
     for (i, &a) in mems.iter().enumerate() {
         for &b in &mems[i + 1..] {
             let both_loads = matches!(g.kind(a), NodeKind::Load { .. })
                 && matches!(g.kind(b), NodeKind::Load { .. });
-            if both_loads || provably_disjoint(g, oracle, &dis, &iv_ctx, a, b) {
+            if both_loads || provably_disjoint(g, oracle, &dis, &forms, a, b) {
                 continue;
             }
             if pegasus::token_path(g, token_out(g, a), b) {
@@ -115,13 +44,13 @@ pub fn remove_token_edges(g: &mut Graph, oracle: &AliasOracle<'_>, dis: Disambig
         }
     }
     let mut removed = 0;
-    for op in mem_ops(g) {
+    for &op in &mems {
         let deps = direct_token_deps(g, op);
         // Expand removable producers into their own producers (Figure 5),
         // keeping boundary nodes as-is.
         let mut kept: Vec<Src> = Vec::new();
         let mut work: Vec<Src> = deps.clone();
-        let mut seen: std::collections::HashSet<Src> = std::collections::HashSet::new();
+        let mut seen: fxmap::HashSet<Src> = fxmap::HashSet::default();
         let mut changed = false;
         while let Some(d) = work.pop() {
             if !seen.insert(d) {
@@ -132,7 +61,7 @@ pub fn remove_token_edges(g: &mut Graph, oracle: &AliasOracle<'_>, dis: Disambig
             let both_loads = is_mem
                 && matches!(g.kind(dn), NodeKind::Load { .. })
                 && matches!(g.kind(op), NodeKind::Load { .. });
-            if is_mem && (both_loads || provably_disjoint(g, oracle, &dis, &iv_ctx, dn, op)) {
+            if is_mem && (both_loads || provably_disjoint(g, oracle, &dis, &forms, dn, op)) {
                 // Dissolve this dependence; inherit its producers.
                 changed = true;
                 removed += 1;

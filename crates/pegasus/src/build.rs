@@ -20,7 +20,7 @@ use cfgir::liveness::Liveness;
 use cfgir::loops::LoopForest;
 use cfgir::types::Type;
 use cfgir::AliasOracle;
-use std::collections::HashMap;
+use fxmap::HashMap;
 use std::fmt;
 
 /// Options controlling graph construction.
@@ -160,13 +160,13 @@ impl<'a> Builder<'a> {
         let hb = h.0;
         let live_in = self.live.live_in_sorted(seed);
         let edges = self.in_edges(h);
-        let mut edge_slot = HashMap::new();
+        let mut edge_slot = HashMap::default();
         for (i, e) in edges.iter().enumerate() {
             edge_slot.insert(*e, i as u16);
         }
         if edges.is_empty() {
             // The entry hyperblock: parameters and the initial token.
-            let mut value_merges = HashMap::new();
+            let mut value_merges = HashMap::default();
             for (idx, &p) in self.func.params.iter().enumerate() {
                 let ty = self.func.ty(p).clone();
                 let n = self.graph.add_node(NodeKind::Param { index: idx, ty }, 0, hb);
@@ -177,7 +177,7 @@ impl<'a> Builder<'a> {
             return HbEntry { value_merges, token_in, edge_slot, live_in, activation: Src::of(t) };
         }
         let nin = edges.len();
-        let mut value_merges = HashMap::new();
+        let mut value_merges = HashMap::default();
         for &r in &live_in {
             let ty = self.func.ty(r).clone();
             let vc = if ty == Type::Bool { VClass::Pred } else { VClass::Data };
@@ -194,7 +194,7 @@ impl<'a> Builder<'a> {
     fn build_hyperblock(&mut self, h: HyperblockId, entries: &[HbEntry]) -> Result<(), BuildError> {
         let hb = h.0;
         let blocks: Vec<BlockId> = self.hbs.blocks_of(h).to_vec();
-        let in_hb: std::collections::HashSet<BlockId> = blocks.iter().copied().collect();
+        let in_hb: fxmap::HashSet<BlockId> = blocks.iter().copied().collect();
         let entry = &entries[h.index()];
 
         // Internal reachability between the hyperblock's blocks (acyclic).
@@ -203,10 +203,10 @@ impl<'a> Builder<'a> {
             blocks.iter().enumerate().map(|(i, &b)| (b, i)).collect();
 
         // Per-block state, filled in RPO order (blocks_of is already RPO).
-        let mut env: Vec<HashMap<Reg, Src>> = vec![HashMap::new(); blocks.len()];
+        let mut env: Vec<HashMap<Reg, Src>> = vec![HashMap::default(); blocks.len()];
         let mut pred: Vec<Option<Src>> = vec![None; blocks.len()];
         // Incoming internal edges: target -> (edge predicate, source pos).
-        let mut internal_in: HashMap<BlockId, Vec<(Src, usize)>> = HashMap::new();
+        let mut internal_in: HashMap<BlockId, Vec<(Src, usize)>> = HashMap::default();
         let mut mem_ops: Vec<MemOp> = Vec::new();
         // Deferred returns: (pred, value).
         let mut returns: Vec<(Src, Option<Src>)> = Vec::new();
@@ -217,7 +217,7 @@ impl<'a> Builder<'a> {
             // Block predicate and environment at entry.
             if pos == 0 {
                 pred[pos] = Some(entry.activation);
-                let mut e = HashMap::new();
+                let mut e = HashMap::default();
                 for (&r, &m) in &entry.value_merges {
                     e.insert(r, Src::of(m));
                 }
@@ -236,7 +236,7 @@ impl<'a> Builder<'a> {
                 // would let the process-random hash seed pick the Mux
                 // creation order, and node numbering must be a pure
                 // function of the input (the waveform goldens diff it).
-                let mut merged: HashMap<Reg, Src> = HashMap::new();
+                let mut merged: HashMap<Reg, Src> = HashMap::default();
                 let mut first_env: Vec<(Reg, Src)> =
                     env[incoming[0].1].iter().map(|(&r, &s)| (r, s)).collect();
                 first_env.sort_unstable_by_key(|&(r, _)| r);
@@ -475,7 +475,7 @@ impl<'a> Builder<'a> {
     fn internal_reachability(
         &self,
         blocks: &[BlockId],
-        in_hb: &std::collections::HashSet<BlockId>,
+        in_hb: &fxmap::HashSet<BlockId>,
     ) -> Vec<Vec<bool>> {
         let n = blocks.len();
         let pos: HashMap<BlockId, usize> =

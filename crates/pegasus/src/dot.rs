@@ -8,7 +8,7 @@
 //! the circuit diagram into a heat map of where tokens serialize.
 
 use crate::graph::{Graph, NodeId, NodeKind, VClass};
-use std::collections::HashMap;
+use fxmap::HashMap;
 use std::fmt::Write;
 
 /// Per-node measurements for the heat-map overlay ([`to_dot_heat`]).
@@ -47,7 +47,7 @@ pub fn to_dot(g: &Graph, title: &str) -> String {
 /// its rule, so a race shows up as a visible link between the two
 /// unordered operations.
 pub fn to_dot_lint(g: &Graph, title: &str, overlay: &LintOverlay) -> String {
-    let mut marks: HashMap<NodeId, String> = HashMap::new();
+    let mut marks: HashMap<NodeId, String> = HashMap::default();
     for (id, note) in &overlay.marks {
         let slot = marks.entry(*id).or_default();
         slot.push_str("\\n!");

@@ -30,8 +30,8 @@ use ashsim::{Machine, MemSystem};
 use cfgir::objects::{ObjId, ObjectKind};
 use cfgir::types::{BinOp, Type, UnOp};
 use cfgir::Module;
+use fxmap::HashMap;
 use minic::ast::{Bin, Expr, ExprKind, FuncDecl, LocalDecl, Program, Stmt, Ty, Un};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why interpretation failed.
@@ -81,6 +81,23 @@ pub struct Outcome {
     pub machine: Machine,
     /// Statements + loop iterations executed (fuel consumed).
     pub steps: u64,
+}
+
+/// Prints the memory image as its length and FNV-1a checksum, not byte by
+/// byte, so a harness failure stays readable.
+impl fmt::Debug for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let image = self.machine.image();
+        let fnv1a = image.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        f.debug_struct("Outcome")
+            .field("ret", &self.ret)
+            .field("steps", &self.steps)
+            .field("image_len", &image.len())
+            .field("image_fnv1a", &format_args!("{fnv1a:#018x}"))
+            .finish()
+    }
 }
 
 /// Interprets `src` from `entry` with the given arguments and a step budget.
@@ -262,8 +279,8 @@ const MAX_DEPTH: usize = 128;
 impl<'a> Interp<'a> {
     fn new(prog: &'a Program, module: &'a Module, fuel: u64) -> Result<Self, InterpError> {
         let machine = Machine::new(module, MemSystem::Perfect { latency: 1 });
-        let mut funcs = HashMap::new();
-        let mut sigs = HashMap::new();
+        let mut funcs = HashMap::default();
+        let mut sigs = HashMap::default();
         for f in prog.functions() {
             funcs.insert(f.name.as_str(), f);
             sigs.insert(
@@ -271,7 +288,7 @@ impl<'a> Interp<'a> {
                 (conv(&f.ret), f.params.iter().map(|p| conv(&p.ty)).collect::<Vec<_>>()),
             );
         }
-        let mut globals = HashMap::new();
+        let mut globals = HashMap::default();
         for g in prog.globals() {
             let Some(idx) = module.objects.iter().position(|o| {
                 o.name == g.name && matches!(o.kind, ObjectKind::Global | ObjectKind::Immutable)
@@ -291,7 +308,7 @@ impl<'a> Interp<'a> {
         // lowering creates one `Local` object per site, named `{f}::{name}`,
         // in the order the statement walk reaches the declarations — the
         // same order our lexical walk produces — so zipping is exact.
-        let mut objmap = HashMap::new();
+        let mut objmap = HashMap::default();
         for f in prog.functions() {
             let taken = minic::lower::addr_taken(f);
             let mut sites: Vec<&LocalDecl> = Vec::new();
@@ -347,7 +364,7 @@ impl<'a> Interp<'a> {
             return internal(format!("call to unknown function `{name}`"));
         };
         let ret_ty = conv(&f.ret);
-        let mut scope = HashMap::new();
+        let mut scope = HashMap::default();
         for (p, v) in f.params.iter().zip(args) {
             let ty = conv(&p.ty);
             scope.insert(p.name.clone(), Slot::Reg(coerce(v, &ty)));
@@ -709,7 +726,7 @@ impl<'a> Interp<'a> {
                 Ok(Flow::Normal)
             }
             Stmt::Block(stmts) => {
-                fr.scopes.push(HashMap::new());
+                fr.scopes.push(HashMap::default());
                 let mut flow = Flow::Normal;
                 for st in stmts {
                     flow = self.stmt(fr, st)?;
@@ -762,7 +779,7 @@ impl<'a> Interp<'a> {
             }
             Stmt::For { init, cond, step, body } => {
                 // The init declaration lives in its own scope, like lowering.
-                fr.scopes.push(HashMap::new());
+                fr.scopes.push(HashMap::default());
                 let r = self.run_for(fr, init.as_deref(), cond.as_ref(), step.as_ref(), body);
                 fr.scopes.pop();
                 r
@@ -871,7 +888,7 @@ enum Flow {
 /// scalars) in the order lowering's statement walk reaches them.
 fn collect_mem_decls<'a>(
     s: &'a Stmt,
-    taken: &std::collections::HashSet<String>,
+    taken: &fxmap::HashSet<String>,
     out: &mut Vec<&'a LocalDecl>,
 ) {
     match s {
@@ -912,6 +929,23 @@ mod tests {
 
     fn ret_of(src: &str, args: &[i64]) -> Option<i64> {
         run_source(src, "main", args, 1 << 20).unwrap().ret
+    }
+
+    #[test]
+    fn outcome_debug_summarizes_the_image() {
+        let out =
+            run_source("int g[4]; int main(int n) { g[1] = n; return n; }", "main", &[7], 1 << 20)
+                .unwrap();
+        let printed = format!("{out:?}");
+        let len = out.machine.image().len();
+        assert!(printed.starts_with("Outcome { ret: Some(7), steps: "), "{printed}");
+        assert!(printed.contains(&format!("image_len: {len}, image_fnv1a: 0x")), "{printed}");
+        assert!(!printed.contains("machine"), "{printed}");
+        let mut other =
+            run_source("int g[4]; int main(int n) { g[1] = n; return n; }", "main", &[8], 1 << 20)
+                .unwrap();
+        other.ret = out.ret;
+        assert_ne!(format!("{other:?}"), printed, "the checksum must see the stored value");
     }
 
     #[test]

@@ -84,7 +84,7 @@ mod tests {
     fn suite_is_populated() {
         let s = suite();
         assert!(s.len() >= 12, "expected a full suite, got {}", s.len());
-        let names: std::collections::HashSet<_> = s.iter().map(|w| w.name).collect();
+        let names: fxmap::HashSet<_> = s.iter().map(|w| w.name).collect();
         assert_eq!(names.len(), s.len(), "duplicate kernel names");
     }
 

@@ -207,7 +207,7 @@ fn deep_channels_widen_the_occupancy_variables() {
     .with_waves(true);
     let r = p.simulate(&[400], &cfg).unwrap();
     let vcd = r.waves.as_ref().expect("waves enabled").to_vcd(&p.graph);
-    let mut occ_codes = std::collections::HashMap::new();
+    let mut occ_codes = fxmap::HashMap::default();
     for line in vcd.lines() {
         if let ["$var", "wire", width, code, name, "$end"] =
             line.split_whitespace().collect::<Vec<_>>()[..]

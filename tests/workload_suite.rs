@@ -80,6 +80,27 @@ fn suite_shows_aggregate_speedup() {
     assert!(full_total < base_total, "suite total must improve: {base_total} -> {full_total}");
 }
 
+/// Every pass invocation starts from the graph the previous one left: the
+/// pass manager counts the graph once per invocation and carries its
+/// "after" shape forward as the next "before".
+#[test]
+fn pass_shapes_chain_from_one_invocation_to_the_next() {
+    for w in suite() {
+        let p = w.compile(OptLevel::Full).unwrap();
+        for pair in p.report.passes.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert_eq!(
+                (a.nodes.1, a.edges.1, a.token_edges.1),
+                (b.nodes.0, b.edges.0, b.token_edges.0),
+                "{}: {} then {}",
+                w.name,
+                a.name,
+                b.name
+            );
+        }
+    }
+}
+
 #[test]
 fn static_memory_operations_shrink_somewhere() {
     // Figure 18: up to 28% of loads and 8% of stores disappear; at minimum
