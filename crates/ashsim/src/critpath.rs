@@ -21,9 +21,24 @@
 //! indexed by record id, a single slab mirroring the channel FIFOs, and no
 //! per-event allocation on the hot path. The walk and aggregation run once
 //! at completion.
+//!
+//! The two buffers that grow with the run, the record stream and the
+//! summary's hop list, are recycled (the `spare` module): taken when
+//! recording starts or the summary is built, given back when the
+//! [`CritState`] or the [`CritSummary`] drops.
+
+use std::cell::Cell;
 
 use crate::memory::MemTimeline;
-use pegasus::{Graph, NodeId, VClass};
+use crate::spare;
+use pegasus::{NodeId, VClass};
+
+thread_local! {
+    /// This thread's spare record stream.
+    pub(crate) static RECS_SPARE: Cell<Vec<Rec>> = const { Cell::new(Vec::new()) };
+    /// This thread's spare hop list.
+    pub(crate) static HOPS_SPARE: Cell<Vec<(NodeId, u64)>> = const { Cell::new(Vec::new()) };
+}
 
 /// Sentinel record id: "no record" (critpath off, or a path root).
 pub(crate) const NO_REC: u32 = u32::MAX;
@@ -135,6 +150,12 @@ pub struct CritSummary {
     pub hops: Vec<(NodeId, u64)>,
 }
 
+impl Drop for CritSummary {
+    fn drop(&mut self) {
+        spare::give(&HOPS_SPARE, std::mem::take(&mut self.hops));
+    }
+}
+
 impl CritSummary {
     /// Cycles attributed to one class.
     pub fn class_cycles(&self, c: EdgeClass) -> u64 {
@@ -226,7 +247,7 @@ pub(crate) struct CritState {
 /// in the top 3 bits of `node_class` (node indices are comfortably below
 /// 2^29).
 #[derive(Clone, Copy)]
-struct Rec {
+pub(crate) struct Rec {
     t: u64,
     node_class: u32,
     parent: u32,
@@ -246,13 +267,32 @@ impl Rec {
 
 impl CritState {
     pub(crate) fn new(num_in_ports: usize, cap: usize, out_class: Vec<u8>) -> CritState {
+        let mut recs = spare::take(&RECS_SPARE);
+        recs.reserve(1024);
         CritState {
-            recs: Vec::with_capacity(1024),
+            recs,
             // Zero-filled on purpose (a calloc'd, lazily-faulted slab):
             // slots are write-before-read in lockstep with the value FIFOs,
             // so the fill value is never observed.
             slots: vec![(0, 0, 0); num_in_ports * cap],
             out_class,
+            best_p1: 0,
+            best_rec: NO_REC,
+            best_class: 0,
+            cur: NO_REC,
+            cur_node: 0,
+            ret_rec: None,
+            timeline: MemTimeline::default(),
+        }
+    }
+
+    /// Zero-capacity recorder for runs with recording off: no spare is
+    /// taken, and its hooks must not be reached.
+    pub(crate) fn off() -> CritState {
+        CritState {
+            recs: Vec::new(),
+            slots: Vec::new(),
+            out_class: Vec::new(),
             best_p1: 0,
             best_rec: NO_REC,
             best_class: 0,
@@ -342,18 +382,39 @@ impl CritState {
     }
 }
 
-/// Walks backward from the return record and aggregates the path.
-pub(crate) fn summarize(st: &CritState, g: &Graph) -> CritSummary {
+impl Drop for CritState {
+    fn drop(&mut self) {
+        spare::give(&RECS_SPARE, std::mem::take(&mut self.recs));
+    }
+}
+
+/// No edge: the end of a per-destination chain in [`summarize`].
+const NO_EDGE: u32 = u32::MAX;
+
+/// Walks backward from the return record and aggregates the path over a
+/// graph of `nodes` nodes.
+///
+/// Each step folds into its `(src, dst, class)` edge as the walk reaches
+/// it: `first[dst]` heads a chain, threaded through `next`, of the edges
+/// found so far into `dst`, and a node has only a few distinct incoming
+/// `(src, class)` pairs on any one path. Only the distinct edges are
+/// sorted, by attributed cycles and then by key — a total order, so the
+/// result does not depend on the order the walk found them in.
+pub(crate) fn summarize(st: &CritState, nodes: usize) -> CritSummary {
     let mut s = CritSummary {
-        node_counts: vec![0; g.len()],
+        classes: [0; NUM_EDGE_CLASSES],
+        path_len: 0,
+        start: 0,
+        node_counts: vec![0; nodes],
+        edges: Vec::new(),
         timeline: st.timeline.clone(),
-        ..CritSummary::default()
+        hops: spare::take(&HOPS_SPARE),
     };
     let Some(mut r) = st.ret_rec else {
         return s;
     };
-    // One `(src, dst, class, dt)` per path step, folded per edge below.
-    let mut steps: Vec<(u32, u32, u8, u64)> = Vec::new();
+    let mut first = vec![NO_EDGE; nodes];
+    let mut next: Vec<u32> = Vec::new();
     loop {
         let rec = st.recs[r as usize];
         let node = rec.node() as usize;
@@ -366,36 +427,37 @@ pub(crate) fn summarize(st: &CritState, g: &Graph) -> CritSummary {
             break;
         }
         let parent = st.recs[p as usize];
-        let pnode = parent.node();
+        let src = NodeId(parent.node());
+        let class = EdgeClass::from_u8(rec.class());
         let dt = rec.t - parent.t;
-        s.classes[rec.class() as usize] += dt;
-        if pnode as usize != node {
+        s.classes[class as usize] += dt;
+        if src.index() != node {
             // A distinct-node step is a path visit; self-edge stages
             // (backpressure, LSQ, memory latency) refine the same visit.
             s.node_counts[node] += 1;
             s.path_len += 1;
             s.hops.push((NodeId(node as u32), rec.t));
         }
-        steps.push((pnode, node as u32, rec.class(), dt));
+        let mut e = first[node];
+        while e != NO_EDGE {
+            let edge = &s.edges[e as usize];
+            if (edge.src, edge.class) == (src, class) {
+                break;
+            }
+            e = next[e as usize];
+        }
+        if e == NO_EDGE {
+            next.push(first[node]);
+            first[node] = s.edges.len() as u32;
+            s.edges.push(CritEdge { src, dst: NodeId(node as u32), class, cycles: dt, count: 1 });
+        } else {
+            let edge = &mut s.edges[e as usize];
+            edge.cycles += dt;
+            edge.count += 1;
+        }
         r = p;
     }
-    steps.sort_unstable_by_key(|&(src, dst, class, _)| (src, dst, class));
-    for (src, dst, class, dt) in steps {
-        match s.edges.last_mut() {
-            Some(e) if (e.src.0, e.dst.0, e.class as u8) == (src, dst, class) => {
-                e.cycles += dt;
-                e.count += 1;
-            }
-            _ => s.edges.push(CritEdge {
-                src: NodeId(src),
-                dst: NodeId(dst),
-                class: EdgeClass::from_u8(class),
-                cycles: dt,
-                count: 1,
-            }),
-        }
-    }
-    s.edges.sort_by(|a, b| {
+    s.edges.sort_unstable_by(|a, b| {
         b.cycles
             .cmp(&a.cycles)
             .then(a.src.cmp(&b.src))
@@ -450,6 +512,121 @@ mod tests {
         let ready = st.recs[r as usize].parent;
         assert_eq!(st.rec_t(ready), 3);
         assert_eq!(st.recs[ready as usize].class(), EdgeClass::Pred as u8);
+    }
+
+    /// xorshift64, as in `sched`'s tests: a seeded chain that reproduces
+    /// forever.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// The reference fold: one `(src, dst, class, dt)` per path step,
+    /// sorted by key and merged per edge, then sorted by cycles.
+    fn sort_fold(st: &CritState, nodes: usize) -> CritSummary {
+        let mut s = CritSummary {
+            classes: [0; NUM_EDGE_CLASSES],
+            path_len: 0,
+            start: 0,
+            node_counts: vec![0; nodes],
+            edges: Vec::new(),
+            timeline: st.timeline.clone(),
+            hops: Vec::new(),
+        };
+        let Some(mut r) = st.ret_rec else {
+            return s;
+        };
+        let mut steps: Vec<(u32, u32, u8, u64)> = Vec::new();
+        loop {
+            let rec = st.recs[r as usize];
+            let node = rec.node() as usize;
+            let p = rec.parent;
+            if p == NO_REC {
+                s.start = rec.t;
+                s.node_counts[node] += 1;
+                s.path_len += 1;
+                s.hops.push((NodeId(node as u32), rec.t));
+                break;
+            }
+            let parent = st.recs[p as usize];
+            let pnode = parent.node();
+            let dt = rec.t - parent.t;
+            s.classes[rec.class() as usize] += dt;
+            if pnode as usize != node {
+                s.node_counts[node] += 1;
+                s.path_len += 1;
+                s.hops.push((NodeId(node as u32), rec.t));
+            }
+            steps.push((pnode, node as u32, rec.class(), dt));
+            r = p;
+        }
+        steps.sort_unstable_by_key(|&(src, dst, class, _)| (src, dst, class));
+        for (src, dst, class, dt) in steps {
+            match s.edges.last_mut() {
+                Some(e) if (e.src.0, e.dst.0, e.class as u8) == (src, dst, class) => {
+                    e.cycles += dt;
+                    e.count += 1;
+                }
+                _ => s.edges.push(CritEdge {
+                    src: NodeId(src),
+                    dst: NodeId(dst),
+                    class: EdgeClass::from_u8(class),
+                    cycles: dt,
+                    count: 1,
+                }),
+            }
+        }
+        s.edges.sort_by(|a, b| {
+            b.cycles
+                .cmp(&a.cycles)
+                .then(a.src.cmp(&b.src))
+                .then(a.dst.cmp(&b.dst))
+                .then((a.class as u8).cmp(&(b.class as u8)))
+        });
+        s.hops.reverse();
+        s
+    }
+
+    #[test]
+    fn walk_fold_matches_the_sort_fold() {
+        let (mut repeated, mut self_edges, mut cycle_ties) = (0, 0, 0);
+        for seed in 1..=200u64 {
+            let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let nodes = 1 + rng.below(9) as usize;
+            let mut st = CritState::new(0, 1, Vec::new());
+            let mut last = st.push_rec(rng.below(nodes as u64) as u32, NO_REC, EdgeClass::Data, 0);
+            for _ in 0..rng.below(600) {
+                // Mostly extend the newest record, sometimes branch off an
+                // older one; zero-cycle steps tie records in time, and a
+                // quarter of the steps are self-edges.
+                let parent =
+                    if rng.below(4) == 0 { rng.below(u64::from(last) + 1) as u32 } else { last };
+                let prec = st.recs[parent as usize];
+                let node =
+                    if rng.below(4) == 0 { prec.node() } else { rng.below(nodes as u64) as u32 };
+                let class = EdgeClass::from_u8(rng.below(NUM_EDGE_CLASSES as u64) as u8);
+                last = st.push_rec(node, parent, class, prec.t + rng.below(3));
+            }
+            if rng.below(8) != 0 {
+                st.ret_rec = Some(last);
+            }
+            let want = sort_fold(&st, nodes);
+            let got = summarize(&st, nodes);
+            assert_eq!(got, want, "seed {seed}");
+            if let Some(r) = st.ret_rec {
+                assert_eq!(got.attributed_total(), st.rec_t(r) - got.start, "seed {seed}");
+            }
+            repeated += got.edges.iter().filter(|e| e.count > 1).count();
+            self_edges += got.edges.iter().filter(|e| e.src == e.dst).count();
+            cycle_ties += got.edges.windows(2).filter(|w| w[0].cycles == w[1].cycles).count();
+        }
+        assert!(repeated > 0 && self_edges > 0 && cycle_ties > 0, "the chains miss a case");
     }
 
     #[test]

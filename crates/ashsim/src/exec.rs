@@ -9,9 +9,16 @@
 //! edges and channel capacity. Memory operations go through a load-store
 //! queue with a configurable number of ports (§7.3).
 //!
-//! Functional determinism follows from Kahn-network discipline: each channel
-//! delivers values in order, merges pop in global arrival order, and
-//! run-time constants are modeled as always-available *sticky* sources.
+//! A run is deterministic: for a fixed graph, arguments and [`SimConfig`],
+//! each channel delivers its values in order and the event queue drains in
+//! its fixed `(cycle, seq)` order, so the run produces the same cycles,
+//! firings, values and memory image every time. Replay
+//! ([`crate::replay`]) and the committed goldens rely on exactly this.
+//! It is not Kahn-network determinism: a `Merge` pops its globally oldest
+//! waiting input, and that arrival-order arbitration is not invariant under
+//! channel capacity. ROADMAP item 1's nested-loop reproducer returns a
+//! different value at capacity 1, 2, 3 and 8. Run-time constants are
+//! modeled as always-available *sticky* sources.
 //!
 //! The executor comes in two instantiations of one type, chosen by the
 //! `OBSERVED` const parameter. [`simulate`] runs `Executor<false>` when
@@ -623,7 +630,7 @@ impl<'a, const OBSERVED: bool> Executor<'a, OBSERVED> {
             }
             CritState::new(num_in, config.channel_capacity.max(1), out_class)
         } else {
-            CritState::new(0, 1, Vec::new())
+            CritState::off()
         };
         let mut ex = Executor {
             g,
@@ -999,7 +1006,7 @@ impl<'a, const OBSERVED: bool> Executor<'a, OBSERVED> {
         let trace = self.trace.take().map(|events| Trace { events });
         let crit = self.crit_on().then(|| {
             self.crit.timeline.finish(cycles);
-            critpath::summarize(&self.crit, self.g)
+            critpath::summarize(&self.crit, self.g.len())
         });
         let waves = self.waves_on().then(|| std::mem::take(&mut self.wave).into_wave(cycles));
         SimResult {

@@ -45,6 +45,7 @@ pub mod memory;
 pub mod profile;
 pub mod replay;
 mod sched;
+mod spare;
 pub mod trace;
 #[cfg(test)]
 #[path = "waves_tests.rs"]
@@ -154,6 +155,31 @@ mod tests {
             let r = run_cfg(&module, &f, &[n]);
             assert_eq!(r.ret, Some(n * (n - 1) / 2), "n={n}");
         }
+    }
+
+    /// Observed runs hand their run-length buffers to the thread's spares
+    /// when their results drop; a bare run neither takes nor gives one.
+    #[test]
+    fn observed_runs_recycle_their_collector_buffers() {
+        let (module, f) = sum_loop_fn();
+        let g = pegasus::build(&f, &AliasOracle::new(&module), &BuildOptions::default()).unwrap();
+        let run = |cfg: &SimConfig| {
+            let mut machine = Machine::new(&module, MemSystem::Perfect { latency: 2 });
+            simulate(&g, &mut machine, &[40], cfg).unwrap();
+        };
+        let spares = || {
+            [
+                spare::take(&waves::LOG_SPARE).capacity(),
+                spare::take(&critpath::RECS_SPARE).capacity(),
+                spare::take(&critpath::HOPS_SPARE).capacity(),
+            ]
+        };
+        spares();
+        run(&SimConfig::perfect());
+        assert_eq!(spares(), [0; 3], "a bare run touched a spare");
+        run(&SimConfig::perfect().with_critpath(true).with_waves(true));
+        let kept = spares();
+        assert!(kept.iter().all(|&c| c > 0), "dropped results kept their buffers: {kept:?}");
     }
 
     #[test]

@@ -216,7 +216,7 @@ impl<'g> Replay<'g> {
             Executor::<true>::new(g, &mut crit_machine, args, &crit_config)
                 .and_then(Executor::run)?
                 .crit
-                .map(|c| c.hops)
+                .map(|mut c| std::mem::take(&mut c.hops))
                 .unwrap_or_default()
         };
 

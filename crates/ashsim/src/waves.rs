@@ -54,6 +54,10 @@
 //! The replay debugger positions breakpoints on the log: a [`LogMark`]
 //! taken before a step, and a scan of only the records the step appended.
 //!
+//! The log's buffer is recycled (the `spare` module): a capture takes the
+//! thread's spare log when it starts, and the [`WaveState`] or [`Wave`]
+//! holding the log gives it back when it drops.
+//!
 //! # VCD rendering
 //!
 //! [`Wave::to_vcd`] renders through [`obs::vcd::VcdWriter`] with a scope
@@ -64,12 +68,19 @@
 //! cumulative fire counter), `<stem>_stall` (3-bit cause code) and
 //! `<stem>_pred` (1-bit). One simulator cycle maps to one `1ns` tick.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use pegasus::{FlatPorts, Graph, NodeId, NodeKind};
 
 use crate::profile::StallCause;
+use crate::spare;
+
+thread_local! {
+    /// This thread's spare change log.
+    pub(crate) static LOG_SPARE: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+}
 
 /// Stall-cause code as stored in stall records: 0 = not stalled.
 pub fn stall_code(cause: Option<StallCause>) -> u8 {
@@ -221,6 +232,12 @@ pub struct Wave {
     changes: u64,
     signals: usize,
     views: OnceLock<Views>,
+}
+
+impl Drop for Wave {
+    fn drop(&mut self) {
+        spare::give(&LOG_SPARE, std::mem::take(&mut self.log));
+    }
 }
 
 impl PartialEq for Wave {
@@ -487,7 +504,7 @@ impl WaveState {
             "graph too large for the wave log's 29-bit signal ids"
         );
         WaveState {
-            log: Vec::new(),
+            log: spare::take(&LOG_SPARE),
             t: 0,
             aux_words: 0,
             last_out: vec![None; num_out],
@@ -498,7 +515,7 @@ impl WaveState {
 
     /// Zero-capacity recorder for waves-off runs; hooks must not be
     /// reached (they would index out of bounds), matching `CritState`'s
-    /// discipline.
+    /// discipline. Takes no spare.
     pub(crate) fn off() -> WaveState {
         WaveState::default()
     }
@@ -631,5 +648,13 @@ impl WaveState {
     pub(crate) fn into_wave(mut self, cycles: u64) -> Wave {
         let log = std::mem::take(&mut self.log);
         self.package(log, cycles)
+    }
+}
+
+impl Drop for WaveState {
+    /// A run that ends without packaging its capture (an error, a replay
+    /// step, a dropped snapshot) still returns its log.
+    fn drop(&mut self) {
+        spare::give(&LOG_SPARE, std::mem::take(&mut self.log));
     }
 }

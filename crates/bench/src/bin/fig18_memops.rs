@@ -37,8 +37,8 @@ fn main() {
         (w, base, rb, full, rf)
     });
     for (w, base, rb, full, rf) in rows {
-        stats.push(stats_line("fig18", "perfect", &w, OptLevel::None, &base, &rb));
-        stats.push(stats_line("fig18", "perfect", &w, OptLevel::Full, &full, &rf));
+        stats.push(stats_line("fig18", "perfect", &w, OptLevel::None, &base, &rb, &base.spans));
+        stats.push(stats_line("fig18", "perfect", &w, OptLevel::Full, &full, &rf, &full.spans));
         let (l0, s0) = base.static_memory_ops();
         let (l1, s1) = full.static_memory_ops();
         println!(

@@ -9,8 +9,7 @@
 //!
 //! Run with `cargo run -p cash-bench --bin fig19_speedup`.
 
-use cash::OptLevel;
-use cash_bench::harness::{memory_systems, rule, run_program, speedup, stats_line, write_stats};
+use cash_bench::harness::{fig19_kernel, memory_systems, rule, speedup, write_stats};
 
 fn main() {
     let systems = memory_systems();
@@ -34,29 +33,9 @@ fn main() {
     // system × level of one kernel shares its source); rows come back in
     // suite order, so output and stats files are byte-identical to the
     // serial sweep. Pin worker count with CASH_THREADS.
-    //
-    // Each kernel compiles once per level and all four memory systems run
-    // on that program. Records are emitted system-major (per system: None,
-    // Medium, Full) to keep BENCH files byte-compatible with the per-run
-    // sweep.
-    let levels = [OptLevel::None, OptLevel::Medium, OptLevel::Full];
     let rows = cash::par::par_map(workloads::suite(), |w| {
-        let compiled: Vec<_> = levels
-            .iter()
-            .map(|&level| w.compile(level).unwrap_or_else(|e| panic!("{} at {level}: {e}", w.name)))
-            .collect();
-        let mut lines = vec![Vec::new(); systems.len()];
-        let mut cycles = Vec::new();
-        for (si, (sys, cfg)) in systems.iter().enumerate() {
-            let mut row = [0u64; 3];
-            for (li, p) in compiled.iter().enumerate() {
-                let r = run_program(&w, p, levels[li], cfg);
-                lines[si].push(stats_line("fig19", sys, &w, levels[li], p, &r));
-                row[li] = r.cycles;
-            }
-            cycles.push(row);
-        }
-        (w, lines.into_iter().flatten().collect::<Vec<_>>(), cycles)
+        let (lines, cycles) = fig19_kernel(&w, &systems);
+        (w, lines, cycles)
     });
     for (w, lines, cycles) in rows {
         print!("{:<14}", w.name);

@@ -55,7 +55,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3.0);
 
-    // The perf_smoke pair: one control-heavy, one memory-heavy kernel.
+    // One control-heavy and one memory-heavy kernel.
     let picks = ["g721_e", "129.compress"];
     let cfg = SimConfig::perfect();
     // Waveform capture spelled explicitly off: when disabled the capture
